@@ -1,46 +1,44 @@
-(* End-to-end engine A/B at paper scale.
+(* Paper-scale throughput and digest gate.
 
    Runs the Fig. 6 matrix (every registered workload x paper technique)
-   twice per cell: once on the default interned engine (hash-consed
-   emission + the fused replay loop) and once on the legacy engine
-   (`--legacy-engine` semantics: per-warp AoS-style emission, Sm.run),
-   timing each complete job — build, all iterations, result hash — the
-   same work `repro sweep` does per cell. Both runs must produce
-   bit-identical Stats (the engines differ only in host-side speed);
-   the tool fails loudly if any cell diverges, so the benchmark doubles
-   as an identity gate at whatever scale it is run.
+   once per cell through [Harness.run] — build, all iterations, result
+   hash: the same work `repro sweep` does per cell — and records each
+   cell's wall time, simulated-instruction throughput and
+   [Harness.digest] (Stats, heap checksum and result in one hash).
 
    Usage: bench/scale_bench.exe [--scale F] [--out PATH]
                                 [--workloads A,B] [--techniques a,b]
-                                [--intra]
+                                [--golden PATH]
 
-   Defaults: scale 1.0, BENCH_scale1.json, full matrix. --intra also
-   enables intra-launch sharded timing on the engine side (worthwhile on
-   multicore hosts; REPRO_INTRA_JOBS picks the domain count).
+   Defaults: scale 1.0, BENCH_scale1.json, full matrix. With --golden,
+   every selected cell's digest must equal that job's [stats_digest] in
+   PATH (a previous output of this tool at the same scale); the tool
+   exits 1 on any difference or missing job, so the committed
+   BENCH_scale1.json doubles as the paper-scale identity gate. PATH is
+   read before --out is written, so both may name the same file.
 
    Two throughput views per cell:
      - end-to-end Minstr/s: simulated instructions / whole-job wall,
        what a sweep user experiences (includes object allocation and
-       host-side setup, identical for both engines);
-     - kernel Minstr/s: instructions / (emulate+replay) wall only,
-       isolating the engine the tentpole optimized. *)
+       host-side setup);
+     - kernel Minstr/s: instructions / (emission + replay) wall only. *)
 
 module G = Repro_gpu
 module R = Repro_core
 module W = Repro_workloads
 module O = Repro_obs
 
-let scale, out_path, only_workloads, only_techniques, intra =
+let scale, out_path, only_workloads, only_techniques, golden_path =
   let scale = ref 1.0 in
   let out = ref "BENCH_scale1.json" in
   let wl = ref [] and tq = ref [] in
-  let intra = ref false in
+  let golden = ref None in
   let csv r s =
     r := List.map String.lowercase_ascii (String.split_on_char ',' s)
   in
   let usage =
     "scale_bench.exe [--scale F] [--out PATH] [--workloads A,B] \
-     [--techniques a,b] [--intra]"
+     [--techniques a,b] [--golden PATH]"
   in
   Arg.parse
     [
@@ -48,83 +46,101 @@ let scale, out_path, only_workloads, only_techniques, intra =
       ("--out", Arg.Set_string out, "PATH  output JSON path (default BENCH_scale1.json)");
       ("--workloads", Arg.String (csv wl), "CSV  restrict to these workload names");
       ("--techniques", Arg.String (csv tq), "CSV  restrict to these technique names");
-      ("--intra", Arg.Set intra, "  also shard intra-launch timing on the engine side");
+      ( "--golden",
+        Arg.String (fun p -> golden := Some p),
+        "PATH  fail unless every cell's digest equals its stats_digest in PATH" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
-  (!scale, !out, !wl, !tq, !intra)
+  (!scale, !out, !wl, !tq, !golden)
 
 let keep filter name =
   filter = [] || List.mem (String.lowercase_ascii name) filter
 
-type run = { wall_s : float; kernel_s : float; raw : G.Stats.raw; dedup : float }
-
-(* One complete sweep-cell job under the given engine setting. [kernel_s]
-   is the iteration loop alone (phase 1 + phase 2); [wall_s] adds the
-   build (heap population) and the result hash. *)
-let run_cell (w : W.Workload.t) technique ~engine =
-  let params =
-    { (W.Workload.default_params technique) with
-      scale; intern = engine; intra = engine && intra }
+(* job name -> stats_digest, from a previous output of this tool. *)
+let load_golden path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let jobs =
+    match O.Json.of_string text with
+    | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+    | Ok j -> Option.bind (O.Json.member "jobs" j) O.Json.list_opt
   in
-  let t0 = Unix.gettimeofday () in
-  let inst = w.W.Workload.build params in
-  let k0 = Unix.gettimeofday () in
-  for i = 0 to inst.W.Workload.iterations - 1 do
-    inst.W.Workload.run_iteration i
-  done;
-  let k1 = Unix.gettimeofday () in
-  ignore (inst.W.Workload.result ());
-  let t1 = Unix.gettimeofday () in
-  let dev = R.Runtime.device inst.W.Workload.rt in
-  { wall_s = t1 -. t0; kernel_s = k1 -. k0;
-    raw = G.Stats.to_raw (G.Device.stats dev);
-    dedup = G.Device.dedup_ratio dev }
+  List.filter_map
+    (fun j ->
+      match
+        ( Option.bind (O.Json.member "job" j) O.Json.string_opt,
+          Option.bind (O.Json.member "stats_digest" j) O.Json.string_opt )
+      with
+      | Some job, Some d -> Some (job, d)
+      | _ -> None)
+    (Option.value jobs ~default:[])
+
+let golden = Option.map load_golden golden_path
 
 type cell = {
   job : string;
   instrs : int;
   cycles : float;
-  engine : run;
-  legacy : run;
-  identical : bool;
+  dedup : float;
+  wall_s : float;
+  kernel_s : float;  (* the iteration loop: emission + replay *)
+  digest : string;
+  verdict : string;  (* "ok", "DIGEST DIFFERS", "NO GOLDEN" or "" *)
 }
 
+let now = Unix.gettimeofday
+
+(* One complete sweep-cell job. The workload's [run_iteration] is wrapped
+   to time the loop alone; [wall_s] adds the build and the result hash. *)
 let cell (w : W.Workload.t) technique =
   let job =
     Printf.sprintf "%s/%s" (W.Registry.qualified_name w)
       (R.Technique.name technique)
   in
   Printf.printf "%-24s ...%!" job;
-  let engine = run_cell w technique ~engine:true in
-  let legacy = run_cell w technique ~engine:false in
-  let identical = engine.raw = legacy.raw in
-  let instrs =
-    engine.raw.G.Stats.mem_instrs + engine.raw.G.Stats.compute_instrs
-    + engine.raw.G.Stats.ctrl_instrs
+  let kernel_s = ref 0. and rt = ref None in
+  let build p =
+    let inst = w.W.Workload.build p in
+    rt := Some inst.W.Workload.rt;
+    {
+      inst with
+      W.Workload.run_iteration =
+        (fun i ->
+          let t0 = now () in
+          inst.W.Workload.run_iteration i;
+          kernel_s := !kernel_s +. (now () -. t0));
+    }
+  in
+  let params = { (W.Workload.default_params technique) with scale } in
+  let t0 = now () in
+  let run = W.Harness.run { w with W.Workload.build } params in
+  let wall_s = now () -. t0 in
+  let digest = W.Harness.digest run in
+  let verdict =
+    match golden with
+    | None -> ""
+    | Some g -> (
+      match List.assoc_opt job g with
+      | None -> "NO GOLDEN"
+      | Some d -> if d = digest then "ok" else "DIGEST DIFFERS")
   in
   let c =
-    { job; instrs; cycles = engine.raw.G.Stats.cycles; engine; legacy; identical }
+    {
+      job;
+      instrs = G.Stats.total_instructions run.W.Harness.stats;
+      cycles = run.W.Harness.cycles;
+      dedup = G.Device.dedup_ratio (R.Runtime.device (Option.get !rt));
+      wall_s;
+      kernel_s = !kernel_s;
+      digest;
+      verdict;
+    }
   in
-  Printf.printf
-    "\r%-24s %11d %8.2f %8.2f %8.2fx %8.2fx %6.1fx %s\n%!" job instrs
-    engine.wall_s legacy.wall_s
-    (legacy.wall_s /. engine.wall_s)
-    (legacy.kernel_s /. engine.kernel_s)
-    engine.dedup
-    (if identical then "ok" else "STATS DIVERGED");
+  Printf.printf "\r%-24s %11d %8.2f %8.2f %6.1fx %s %s\n%!" job c.instrs
+    c.wall_s c.kernel_s c.dedup digest verdict;
   c
 
 let minstr instrs wall = float_of_int instrs /. wall /. 1e6
-
-let run_json instrs r =
-  O.Json.Obj
-    [
-      ("wall_s", O.Json.Float r.wall_s);
-      ("kernel_s", O.Json.Float r.kernel_s);
-      ("minstr_per_s", O.Json.Float (minstr instrs r.wall_s));
-      ("kernel_minstr_per_s", O.Json.Float (minstr instrs r.kernel_s));
-    ]
 
 let cell_json c =
   O.Json.Obj
@@ -132,19 +148,19 @@ let cell_json c =
       ("job", O.Json.String c.job);
       ("instructions", O.Json.Int c.instrs);
       ("cycles", O.Json.Float c.cycles);
-      ("dedup_ratio", O.Json.Float c.engine.dedup);
-      ("engine", run_json c.instrs c.engine);
-      ("legacy", run_json c.instrs c.legacy);
-      ("speedup", O.Json.Float (c.legacy.wall_s /. c.engine.wall_s));
-      ( "kernel_speedup",
-        O.Json.Float (c.legacy.kernel_s /. c.engine.kernel_s) );
-      ("stats_identical", O.Json.Bool c.identical);
+      ("dedup_ratio", O.Json.Float c.dedup);
+      ("wall_s", O.Json.Float c.wall_s);
+      ("kernel_s", O.Json.Float c.kernel_s);
+      ("minstr_per_s", O.Json.Float (minstr c.instrs c.wall_s));
+      ("kernel_minstr_per_s", O.Json.Float (minstr c.instrs c.kernel_s));
+      ("stats_digest", O.Json.String c.digest);
     ]
 
 let () =
-  Printf.printf "scale_bench: scale=%g intra=%b\n%!" scale intra;
-  Printf.printf "%-24s %11s %8s %8s %9s %9s %6s\n" "job" "instrs" "eng(s)"
-    "leg(s)" "speedup" "kernel" "dedup";
+  Printf.printf "scale_bench: scale=%g%s\n%!" scale
+    (match golden_path with None -> "" | Some p -> " golden=" ^ p);
+  Printf.printf "%-24s %11s %8s %8s %7s %-32s\n" "job" "instrs" "wall(s)"
+    "kern(s)" "dedup" "digest";
   let cells = ref [] in
   List.iter
     (fun (w : W.Workload.t) ->
@@ -157,35 +173,24 @@ let () =
     W.Registry.all;
   let cells = List.rev !cells in
   if cells = [] then (prerr_endline "no cells selected"; exit 2);
-  let sum f = List.fold_left (fun a c -> a +. f c) 0. cells in
+  let wall = List.fold_left (fun a c -> a +. c.wall_s) 0. cells in
+  let kernel = List.fold_left (fun a c -> a +. c.kernel_s) 0. cells in
   let instrs = List.fold_left (fun a c -> a + c.instrs) 0 cells in
-  let eng_wall = sum (fun c -> c.engine.wall_s) in
-  let leg_wall = sum (fun c -> c.legacy.wall_s) in
-  let eng_kernel = sum (fun c -> c.engine.kernel_s) in
-  let leg_kernel = sum (fun c -> c.legacy.kernel_s) in
-  let all_identical = List.for_all (fun c -> c.identical) cells in
-  Printf.printf
-    "aggregate: engine %.2f Minstr/s in %.1fs, legacy %.2f Minstr/s in \
-     %.1fs -> %.2fx end-to-end, %.2fx kernel-only; stats identical: %b\n%!"
-    (minstr instrs eng_wall) eng_wall (minstr instrs leg_wall) leg_wall
-    (leg_wall /. eng_wall) (leg_kernel /. eng_kernel) all_identical;
+  let bad = List.filter (fun c -> c.verdict <> "" && c.verdict <> "ok") cells in
+  Printf.printf "aggregate: %.2f Minstr/s in %.1fs (kernel %.2f Minstr/s in %.1fs)\n%!"
+    (minstr instrs wall) wall (minstr instrs kernel) kernel;
   let json =
     O.Json.Obj
       [
         ("scale", O.Json.Float scale);
-        ("intra", O.Json.Bool intra);
         ( "aggregate",
           O.Json.Obj
             [
               ("instructions", O.Json.Int instrs);
-              ("engine_wall_s", O.Json.Float eng_wall);
-              ("legacy_wall_s", O.Json.Float leg_wall);
-              ("engine_minstr_per_s", O.Json.Float (minstr instrs eng_wall));
-              ("legacy_minstr_per_s", O.Json.Float (minstr instrs leg_wall));
-              ("speedup", O.Json.Float (leg_wall /. eng_wall));
-              ( "kernel_speedup",
-                O.Json.Float (leg_kernel /. eng_kernel) );
-              ("stats_identical", O.Json.Bool all_identical);
+              ("wall_s", O.Json.Float wall);
+              ("kernel_s", O.Json.Float kernel);
+              ("minstr_per_s", O.Json.Float (minstr instrs wall));
+              ("kernel_minstr_per_s", O.Json.Float (minstr instrs kernel));
             ] );
         ("jobs", O.Json.List (List.map cell_json cells));
       ]
@@ -194,4 +199,14 @@ let () =
   output_string oc (O.Json.to_string ~pretty:true json);
   close_out oc;
   Printf.printf "wrote %s\n%!" out_path;
-  if not all_identical then exit 1
+  match golden_path with
+  | None -> ()
+  | Some p ->
+    if bad = [] then
+      Printf.printf "all %d cell digests match %s\n%!" (List.length cells) p
+    else begin
+      List.iter (fun c -> Printf.printf "%s: %s\n" c.job c.verdict) bad;
+      Printf.printf "%d of %d cells fail the digest gate against %s\n%!"
+        (List.length bad) (List.length cells) p;
+      exit 1
+    end

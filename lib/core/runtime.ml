@@ -23,9 +23,8 @@ type t = {
   mutable vm_dirty : bool;
 }
 
-let create ?config ?(engine = Repro_gpu.Engine.default) ?prealloc_mb
-    ?(chunk_objs = Shared_oa.default_chunk_objs) ?vt_encoding ?san
-    ?telemetry ?alloc ?pages ~technique () =
+let create ?config ?(chunk_objs = Shared_oa.default_chunk_objs) ?vt_encoding
+    ?san ?telemetry ?alloc ?pages ~technique () =
   (match san with
    | Some checker
      when Repro_san.Checker.tags_expected checker
@@ -33,19 +32,12 @@ let create ?config ?(engine = Repro_gpu.Engine.default) ?prealloc_mb
      invalid_arg
        "Runtime.create: sanitizer tags_expected disagrees with the technique"
    | _ -> ());
-  let heap =
-    Page_store.create
-      ?expect_bytes:(Option.map (fun mb -> mb * 1024 * 1024) prealloc_mb) ()
-  in
+  let heap = Page_store.create () in
   let space = Address_space.create () in
-  let device = Device.create ?config ~engine ?san ?telemetry ~heap () in
+  let device = Device.create ?config ?san ?telemetry ~heap () in
   let registry = Registry.create ~heap in
   let vtspace = Vtable_space.create ?encoding:vt_encoding ~heap ~space () in
   let om = Object_model.create technique in
-  (* The fused emission path wants raw scratch buffers; sanitized runs
-     keep the legacy exact-width-array path the checker was written
-     against. *)
-  Object_model.set_fused om (engine.Repro_gpu.Engine.intern && san = None);
   let shadow = Option.map Repro_san.Checker.shadow san in
   let alloc_family =
     match alloc with

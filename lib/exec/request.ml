@@ -43,9 +43,6 @@ module Spec = struct
     iterations : int option;
     chunk_objs : int option;
     pages : string option;
-    intern : bool;
-    intra : bool;
-    prealloc_mb : int option;
   }
 
   (* One constant for every surface: a bare submit and a bare sweep are
@@ -55,14 +52,12 @@ module Spec = struct
   let default_seed = 42
 
   let make ?alloc ?(scale = default_scale) ?(seed = default_seed) ?iterations
-      ?chunk_objs ?pages ?(intern = true) ?(intra = false) ?prealloc_mb
-      ~workload ~technique () =
+      ?chunk_objs ?pages ~workload ~technique () =
     (* "none" (the CLI's explicit default) and omission are the same run;
        canonicalize so the job key and cache agree — the [alloc]
        canonicalization below plays the same trick. *)
     let pages = match pages with Some "none" -> None | p -> p in
-    { workload; technique; alloc; scale; seed; iterations; chunk_objs; pages;
-      intern; intra; prealloc_mb }
+    { workload; technique; alloc; scale; seed; iterations; chunk_objs; pages }
 
   let of_job (job : Job.t) =
     let p = job.Job.params in
@@ -75,9 +70,6 @@ module Spec = struct
       iterations = p.W.Workload.iterations;
       chunk_objs = p.W.Workload.chunk_objs;
       pages = Option.map Repro_vm.Policy.name p.W.Workload.pages;
-      intern = p.W.Workload.intern;
-      intra = p.W.Workload.intra;
-      prealloc_mb = p.W.Workload.prealloc_mb;
     }
 
   let alloc_of_string s =
@@ -123,9 +115,6 @@ module Spec = struct
               iterations = t.iterations;
               chunk_objs = t.chunk_objs;
               pages;
-              intern = t.intern;
-              intra = t.intra;
-              prealloc_mb = t.prealloc_mb;
             }))
 
   let resolve t =
@@ -164,16 +153,9 @@ module Spec = struct
       @ (match t.chunk_objs with
          | Some c -> [ ("chunk_objs", J.Int c) ]
          | None -> [])
-      @ (match t.pages with
-         | Some p -> [ ("pages", J.String p) ]
-         | None -> [])
-      (* Engine fields ride the wire only off their defaults, so default
-         jobs encode exactly as they did under schema v1. *)
-      @ (if t.intern then [] else [ ("intern", J.Bool false) ])
-      @ (if t.intra then [ ("intra", J.Bool true) ] else [])
       @
-      match t.prealloc_mb with
-      | Some mb -> [ ("prealloc_mb", J.Int mb) ]
+      match t.pages with
+      | Some p -> [ ("pages", J.String p) ]
       | None -> [])
 
   (* Validate at decode time so a bad family reports its JSON path
@@ -198,7 +180,22 @@ module Spec = struct
            (String.concat ", " Repro_vm.Policy.cli_names)
            s)
 
+  (* Fields of the deleted engine switches. [intern] and [prealloc_mb]
+     never changed a result, so they are checked for type and ignored;
+     [intra: true] asked for a timing model this build no longer has. *)
+  let retired_fields j =
+    ignore (D.field_opt "intern" D.bool j : bool option);
+    ignore (D.field_opt "prealloc_mb" D.int j : int option);
+    ignore
+      (D.field_opt "intra"
+         (fun v ->
+           if D.bool v then
+             D.fail "sharded timing was removed; omit the field")
+         j
+        : unit option)
+
   let decoder j =
+    retired_fields j;
     {
       workload = D.field "workload" D.string j;
       technique = D.field "technique" D.string j;
@@ -211,9 +208,6 @@ module Spec = struct
         (match D.field_opt "pages" pages_decoder j with
          | Some "none" -> None
          | p -> p);
-      intern = D.field_default "intern" D.bool true j;
-      intra = D.field_default "intra" D.bool false j;
-      prealloc_mb = D.field_opt "prealloc_mb" D.int j;
     }
 
   let equal a b = a = b
@@ -221,9 +215,7 @@ module Spec = struct
   let label t =
     let extras =
       (match t.alloc with Some a -> [ "alloc=" ^ a ] | None -> [])
-      @ (match t.pages with Some p -> [ "pages=" ^ p ] | None -> [])
-      @ (if t.intern then [] else [ "legacy-engine" ])
-      @ if t.intra then [ "intra" ] else []
+      @ match t.pages with Some p -> [ "pages=" ^ p ] | None -> []
     in
     match extras with
     | [] -> Printf.sprintf "%s [%s]" t.workload t.technique

@@ -13,9 +13,8 @@
 
     Wire form: one JSON object per line (LF-terminated, no newlines
     inside). Requests carry [{"v": 2, "type": ...}]; see PROTOCOL.md for
-    the full message reference. (v2 added the engine fields [intern]/
-    [intra]/[prealloc_mb] and aligned the absent-[scale] default with
-    [repro sweep]'s 0.25 — under v1 a bare submit silently ran scale
+    the full message reference. (v2 aligned the absent-[scale] default
+    with [repro sweep]'s 0.25 — under v1 a bare submit silently ran scale
     1.0.) *)
 
 val schema_version : int
@@ -52,15 +51,6 @@ module Spec : sig
             [None] = no address translation. Never the string ["none"] —
             constructors canonicalize it away so the job key and cache
             agree with the omitted form. *)
-    intern : bool;
-        (** Interned emission engine; [false] selects the legacy
-            baseline engine. Byte-identical results either way. *)
-    intra : bool;
-        (** Intra-launch sharded parallel timing (a distinct,
-            deterministic timing model). *)
-    prealloc_mb : int option;
-        (** Heap pre-sizing hint (MiB); results-neutral and excluded
-            from {!Job.key}. *)
   }
 
   val default_scale : float
@@ -75,15 +65,11 @@ module Spec : sig
     ?iterations:int ->
     ?chunk_objs:int ->
     ?pages:string ->
-    ?intern:bool ->
-    ?intra:bool ->
-    ?prealloc_mb:int ->
     workload:string ->
     technique:string ->
     unit ->
     t
-  (** Defaults: [scale] {!default_scale}, [seed 42], [intern true],
-      [intra false], no overrides. *)
+  (** Defaults: [scale] {!default_scale}, [seed 42], no overrides. *)
 
   val of_job : Job.t -> t
   (** The spec that {!resolve}s back to an equal job (same {!Job.key}).
@@ -108,7 +94,9 @@ module Spec : sig
 
   val decoder : t Repro_obs.Json.Decode.decoder
   (** Requires [workload] and [technique]; the numeric fields default as
-      in {!make}. *)
+      in {!make}. The retired engine fields are still accepted: [intern]
+      and [prealloc_mb] are ignored, [intra] only as [false] ([true] is
+      an error at its path). {!to_json} never emits them. *)
 
   val equal : t -> t -> bool
 

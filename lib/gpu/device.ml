@@ -1,11 +1,8 @@
 type t = {
   cfg : Config.t;
-  engine : Engine.t;
   heap : Repro_mem.Page_store.t;
   mem_path : Mem_path.t;
-  mutable shards : Mem_path.t array; (* per-SM memory slices; [||] until the
-                                        first sharded launch, then persistent *)
-  scratch : Trace.t; (* reusable emission trace for the interned engine *)
+  scratch : Trace.t; (* reusable emission trace, sealed per warp *)
   stats : Stats.t;
   san : Repro_san.Checker.t option;
   tel : Telemetry.t option;
@@ -23,7 +20,7 @@ type t = {
 
 let fmax (a : float) (b : float) = if a >= b then a else b
 
-let create ?(config = Config.default) ?(engine = Engine.default) ?san
+let create ?(config = Config.default) ?san
     ?telemetry ~heap () =
   Config.validate config;
   let tel =
@@ -37,10 +34,8 @@ let create ?(config = Config.default) ?(engine = Engine.default) ?san
    | Some _ | None -> ());
   {
     cfg = config;
-    engine;
     heap;
     mem_path;
-    shards = [||];
     scratch = Trace.create ~capacity:256 ();
     stats = Stats.create ();
     san;
@@ -57,8 +52,6 @@ let create ?(config = Config.default) ?(engine = Engine.default) ?san
     kept = [];
   }
 
-let engine t = t.engine
-
 let config t = t.cfg
 
 let heap t = t.heap
@@ -67,62 +60,33 @@ let set_vm t vm = Mem_path.set_vm t.mem_path vm
 
 let vm t = Mem_path.vm t.mem_path
 
-(* Phase 2 shards on demand: one sliced memory path per SM, persistent
-   across launches so the L2 slices keep their tag state exactly like
-   the sequential L2 does. *)
-let shards t =
-  if Array.length t.shards = 0 then
-    t.shards <-
-      Array.init t.cfg.Config.n_sms (fun _ -> Mem_path.create (Config.slice t.cfg));
-  t.shards
-
-(* The sharded engine has no telemetry instrumentation, and a translation
-   model is attached to the shared [mem_path] only — both fall back to
-   the sequential loop. A 1-SM config has nothing to shard. *)
-let use_sharded t =
-  t.engine.Engine.intra && t.cfg.Config.n_sms > 1 && t.tel = None
-  && Mem_path.vm t.mem_path = None
-
 let launch t ~n_threads kernel =
   if n_threads <= 0 then invalid_arg "Device.launch: n_threads must be positive";
   let warp_size = t.cfg.Config.warp_size in
   let n_warps = Repro_util.Mathx.ceil_div n_threads warp_size in
+  (* Every warp emits into the device's scratch trace, then seals
+     through a per-launch pool that hash-conses identical instruction
+     streams (addresses stay per-warp). *)
+  let pool = Trace.Intern.create () in
   let traces =
-    if t.engine.Engine.intern then begin
-      (* Interned emission: every warp emits into the device's scratch
-         trace, then seals through a per-launch pool that hash-conses
-         identical instruction streams (addresses stay per-warp). *)
-      let pool = Trace.Intern.create () in
-      let traces =
-        Array.init n_warps (fun warp_id ->
-            let first = warp_id * warp_size in
-            let width = min warp_size (n_threads - first) in
-            let lanes = Array.init width (fun lane -> first + lane) in
-            Trace.reset t.scratch;
-            let ctx =
-              Warp_ctx.create ?san:t.san ~fused:(t.san = None)
-                ~trace:t.scratch ~heap:t.heap ~warp_id ~lanes ()
-            in
-            kernel ctx;
-            Trace.Intern.seal pool t.scratch)
-      in
-      t.sealed_streams <- t.sealed_streams + Trace.Intern.sealed pool;
-      t.unique_streams <- t.unique_streams + Trace.Intern.unique pool;
-      t.sealed_stream_instrs <-
-        t.sealed_stream_instrs + Trace.Intern.sealed_instrs pool;
-      t.unique_stream_instrs <-
-        t.unique_stream_instrs + Trace.Intern.unique_instrs pool;
-      traces
-    end
-    else
-      Array.init n_warps (fun warp_id ->
-          let first = warp_id * warp_size in
-          let width = min warp_size (n_threads - first) in
-          let lanes = Array.init width (fun lane -> first + lane) in
-          let ctx = Warp_ctx.create ?san:t.san ~heap:t.heap ~warp_id ~lanes () in
-          kernel ctx;
-          Warp_ctx.trace ctx)
+    Array.init n_warps (fun warp_id ->
+        let first = warp_id * warp_size in
+        let width = min warp_size (n_threads - first) in
+        let lanes = Array.init width (fun lane -> first + lane) in
+        Trace.reset t.scratch;
+        let ctx =
+          Warp_ctx.create ?san:t.san ~trace:t.scratch ~heap:t.heap ~warp_id
+            ~lanes ()
+        in
+        kernel ctx;
+        Trace.Intern.seal pool t.scratch)
   in
+  t.sealed_streams <- t.sealed_streams + Trace.Intern.sealed pool;
+  t.unique_streams <- t.unique_streams + Trace.Intern.unique pool;
+  t.sealed_stream_instrs <-
+    t.sealed_stream_instrs + Trace.Intern.sealed_instrs pool;
+  t.unique_stream_instrs <-
+    t.unique_stream_instrs + Trace.Intern.unique_instrs pool;
   (* Each launch counts into its own [Stats.t] which is then folded into
      the cumulative totals, so the per-kernel deltas of [kernel_timeline]
      sum (bit-for-bit, including the float counters) to [stats]. *)
@@ -140,14 +104,9 @@ let launch t ~n_threads kernel =
   (match t.tel with
    | None ->
      let cycles =
-       if use_sharded t then
-         Sm.run_sharded t.cfg ~shards:(shards t)
-           ~jobs:(Engine.resolve_jobs t.engine) ~stats:launch_stats ~traces
-       else if t.engine.Engine.intern && Mem_path.plain t.mem_path then
-         (* The interned engine's replay path: byte-identical to Sm.run
-            (the fused loop replicates its event order and float
-            sequence), so the legacy engine below stays the measurable
-            A/B baseline. *)
+       if Mem_path.plain t.mem_path then
+         (* Byte-identical to Sm.run (the fused loop replicates its event
+            order and float sequence); a translation model needs Sm.run. *)
          Sm.run_fused t.cfg t.mem_path ~stats:launch_stats ~traces
        else Sm.run t.cfg t.mem_path ~stats:launch_stats ~traces
      in
@@ -251,7 +210,6 @@ let dedup_ratio t =
 let reset_stats t =
   Stats.reset t.stats;
   Mem_path.reset t.mem_path;
-  Array.iter Mem_path.reset t.shards;
   t.sealed_streams <- 0;
   t.unique_streams <- 0;
   t.sealed_stream_instrs <- 0;

@@ -11,22 +11,18 @@
 type t
 
 val create :
-  ?config:Config.t -> ?engine:Engine.t -> ?san:Repro_san.Checker.t ->
+  ?config:Config.t -> ?san:Repro_san.Checker.t ->
   ?telemetry:Telemetry.config ->
   heap:Repro_mem.Page_store.t -> unit -> t
 (** When [san] is given, every launch threads it through the warp
     contexts and folds the checker's per-launch violation delta into that
     launch's counters (so the timeline invariant below still holds).
 
-    [engine] selects the simulation engine (default {!Engine.default}:
-    interned emission on, sharded timing off). With [engine.intern],
-    phase 1 emits every warp through one reusable scratch trace and
-    hash-conses identical instruction streams per launch — stats stay
-    byte-identical. With [engine.intra], phase 2 replays each SM against
-    a private memory-system slice over the Domain pool (deterministic,
-    [jobs]-independent, but a documented model deviation); launches with
-    telemetry or an attached translation model fall back to the
-    sequential loop.
+    Phase 1 emits every warp through one reusable scratch trace and
+    hash-conses identical instruction streams per launch
+    ({!Trace.Intern}). Phase 2 replays through {!Sm.run_fused} unless
+    telemetry or a translation model needs the reference {!Sm.run};
+    stats are byte-identical either way.
 
     [telemetry] opts into cycle-resolved instrumentation, allocated once
     here: windowed counter sampling ({!window_timeline}) and/or the
@@ -35,18 +31,15 @@ val create :
 
 val config : t -> Config.t
 
-val engine : t -> Engine.t
-
 val interning_tallies : t -> int * int * int * int
 (** [(sealed, unique, sealed_instrs, unique_instrs)] — warp instruction
     streams sealed through the interning pools since the last
     {!reset_stats}, how many were distinct, and the dynamic warp
-    instructions behind each. All zero when the legacy engine is
-    selected (or nothing launched). *)
+    instructions behind each. All zero before the first launch. *)
 
 val dedup_ratio : t -> float
-(** [sealed /. unique] streams ([1.] before any interned launch) — the
-    interning compression factor. *)
+(** [sealed /. unique] streams ([1.] before any launch) — the interning
+    compression factor. *)
 
 val heap : t -> Repro_mem.Page_store.t
 

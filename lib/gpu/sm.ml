@@ -272,7 +272,7 @@ let access_raw (tags : int array) (valid : int array) (stamps : int array)
 (* The fused replay twin of [run]: same event order, same float
    operations in the same sequence, so the launch it times is
    byte-identical in cycles and counters — verified by the qcheck
-   equivalence test and the legacy-engine sweep diff. What changes is
+   equivalence test and the committed per-cell digests. What changes is
    only mechanics (this build has no flambda, so every cross-module
    call in [run]'s per-instruction path is a real call):
 
@@ -292,9 +292,9 @@ let access_raw (tags : int array) (valid : int array) (stamps : int array)
      [Stats.bump_replay_counters]; integer adds are exact, so the
      totals match per-instruction counting bit for bit.
 
-   The precondition mirrors the engine gate in [Device]: no telemetry
+   The precondition mirrors the replay gate in [Device]: no telemetry
    and no address translation ([Mem_path.plain]); [run] remains the
-   reference path for those and for the legacy engine. *)
+   reference path for those. *)
 let run_fused (cfg : Config.t) mem_path ~stats ~traces =
   Config.validate cfg;
   if not (Mem_path.plain mem_path) then
@@ -585,48 +585,5 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
     Stats.bump_replay_counters stats ~mem:!n_mem ~compute:!n_comp
       ~ctrl:!n_ctrl ~load_trans:!ld_tr ~store_trans:!st_tr ~l1_hits:!l1h
       ~l1_misses:!l1m ~l2_hits:!l2h ~l2_misses:!l2m ~dram_sectors:!dram;
-    finish.(0)
-  end
-
-(* Intra-launch sharded timing: each SM replays its own warps against a
-   private slice of the memory system ([Config.slice] — own L1 as
-   before, 1/n_sms of the L2 and of the L2/DRAM bandwidth), so the
-   shards are fully independent and replay in parallel over the Domain
-   pool. Per-SM stats are merged in SM order and the launch finishes at
-   the slowest shard, making the result deterministic and independent of
-   [jobs]. Warp dealing and intra-SM scheduling are exactly the
-   sequential engine's (shard [s] gets warps [s, s+n_sms, ...] in
-   order), so the only modelling difference is the statically-sliced L2
-   and bandwidth. *)
-let run_sharded (cfg : Config.t) ~shards ~jobs ~stats ~traces =
-  Config.validate cfg;
-  let n_sms = cfg.n_sms in
-  if Array.length shards <> n_sms then
-    invalid_arg "Sm.run_sharded: shard count does not match n_sms";
-  let n_warps = Array.length traces in
-  if n_warps = 0 then 0.
-  else begin
-    let scfg = Config.slice cfg in
-    let shard_traces =
-      Array.init n_sms (fun s ->
-          let cnt = (n_warps - s + n_sms - 1) / n_sms in
-          Array.init cnt (fun k -> traces.(s + (k * n_sms))))
-    in
-    let results =
-      Repro_util.Pool.map ~jobs
-        ~f:(fun s ->
-          let st = Stats.create () in
-          let cyc = run scfg shards.(s) ~stats:st ~traces:shard_traces.(s) in
-          (cyc, st))
-        (Array.init n_sms (fun s -> s))
-    in
-    let finish = Array.make 1 0. in
-    Array.iter
-      (function
-        | Ok (cyc, st) ->
-          Stats.add stats st;
-          if cyc > finish.(0) then finish.(0) <- cyc
-        | Error e -> raise e)
-      results;
     finish.(0)
   end

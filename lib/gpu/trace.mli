@@ -102,8 +102,9 @@ val arena : t -> int array
 (** {1 Compatibility view} *)
 
 val emit : t -> Instr.t -> unit
-(** Decompose a boxed instruction into the SoA arrays (legacy emission;
-    load/store payloads are canonicalized like {!emit_load}). *)
+(** Decompose a boxed instruction into the SoA arrays (the boxed form of
+    the [emit_*] calls; load/store payloads are canonicalized like
+    {!emit_load}). *)
 
 val get : t -> int -> Instr.t
 (** Materialize record [i] as a boxed {!Instr.t} (allocates; memory

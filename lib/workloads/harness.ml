@@ -81,6 +81,11 @@ let find runs ~technique =
   Option.map snd
     (List.find_opt (fun (t, _) -> R.Technique.equal t technique) runs)
 
+let digest r =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (Stats.to_raw r.stats, r.checksum, r.result) []))
+
 let speedup_vs ~baseline r = baseline.cycles /. r.cycles
 
 let normalized_cycles ~baseline r = r.cycles /. baseline.cycles

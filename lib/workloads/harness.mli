@@ -56,6 +56,12 @@ val validate_equal : run list -> unit
     agree with the first on [checksum] and [result]. Raises [Failure]
     naming the offending pair. *)
 
+val digest : run -> string
+(** Hex MD5 over the marshalled [(Stats.to_raw stats, checksum, result)]:
+    one string that changes when any simulated counter, the heap or the
+    workload result does. The frozen per-cell digests in the tests and
+    in [BENCH_scale1.json] are this value. *)
+
 val speedup_vs : baseline:run -> run -> float
 (** [cycles baseline / cycles run]: >1 means faster than baseline. *)
 

@@ -30,19 +30,6 @@ type params = {
       (** Address-translation page-size policy; [None] (the default)
           models no translation — the timing is exactly the
           untranslated model's. *)
-  intern : bool;
-      (** Interned emission engine ([Repro_gpu.Engine.t.intern]; default
-          [true]). Results are byte-identical either way; [false] is the
-          legacy engine kept as the measurable baseline. In job keys so
-          an A/B pair caches separately. *)
-  intra : bool;
-      (** Intra-launch sharded parallel timing (default [false]). A
-          different — deterministic, jobs-independent — timing model, so
-          it is part of the job identity. *)
-  prealloc_mb : int option;
-      (** Expected heap footprint (MiB): pre-sizes the page store.
-          Purely a capacity hint; never affects results and is excluded
-          from job keys. *)
 }
 
 val default_params : Repro_core.Technique.t -> params

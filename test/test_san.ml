@@ -245,6 +245,45 @@ let test_checker_tag_integrity () =
     ~ptrs:[| Vaddr.with_tag 0x1000 ~tag:9 |];
   check Alcotest.int "mismatching tag" 1 (Checker.count c Violation.Tag_mismatch)
 
+(* The batch entry points check exactly the first [n] lanes of a
+   scratch buffer that may be wider than the warp, and report what the
+   exact-width [Warp_ctx.load] reports for the same addresses. *)
+let test_checker_scratch_buffer () =
+  let module Warp_ctx = Repro_gpu.Warp_ctx in
+  let module Label = Repro_gpu.Label in
+  let setup () =
+    let c = Checker.create ~tags_expected:false () in
+    let sh = Checker.shadow c in
+    Shadow_heap.add_heap_range sh ~base:0x1000 ~size:0x1000;
+    Shadow_heap.register sh ~base:0x1100 ~size:64 ~type_id:1;
+    let ctx =
+      Warp_ctx.create ~san:c ~heap:(Repro_mem.Page_store.create ())
+        ~warp_id:0 ~lanes:[| 0; 1 |] ()
+    in
+    (c, ctx)
+  in
+  let kinds c =
+    List.map (fun k -> (Violation.kind_slug k, Checker.count c k)) Violation.kinds
+  in
+  (* 0x1000 is a heap hole: out of bounds. *)
+  let c, ctx = setup () in
+  ignore
+    (Warp_ctx.load_into ctx ~label:Label.Body ~blocking:true
+       ~addrs:[| 0x1100; 0x1108; 0x1000; 0x1000 |] ~n:2);
+  Warp_ctx.store_from ctx ~label:Label.Body
+    ~addrs:[| 0x1100; 0x1108; 0x1000 |] ~n:2 [| 1; 2 |];
+  check Alcotest.int "lanes past n unchecked" 0 (Checker.total c);
+  let c, ctx = setup () in
+  ignore
+    (Warp_ctx.load_into ctx ~label:Label.Body ~blocking:true
+       ~addrs:[| 0x1100; 0x1000; 0x1108; 0x1108 |] ~n:2);
+  check Alcotest.int "one violation inside n" 1 (Checker.total c);
+  let reference, ctx = setup () in
+  ignore (Warp_ctx.load ctx ~label:Label.Body [| 0x1100; 0x1000 |]);
+  check
+    Alcotest.(list (pair string int))
+    "same kind as Warp_ctx.load" (kinds reference) (kinds c)
+
 (* --- device integration: violations land in Stats ---------------------- *)
 
 let test_stats_san_counters () =
@@ -343,6 +382,8 @@ let suite =
     Alcotest.test_case "oracle capture" `Quick test_oracle_capture;
     Alcotest.test_case "checker detections" `Quick test_checker_detections;
     Alcotest.test_case "checker tag integrity" `Quick test_checker_tag_integrity;
+    Alcotest.test_case "checker on scratch buffers" `Quick
+      test_checker_scratch_buffer;
     Alcotest.test_case "stats san counters" `Quick test_stats_san_counters;
     Alcotest.test_case "check: clean matrix" `Quick test_check_clean;
     Alcotest.test_case "check: tag mutation caught" `Quick test_check_catches_tag;

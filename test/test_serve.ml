@@ -281,6 +281,38 @@ let test_decode_errors_name_field () =
   check Alcotest.bool ("malformed in: " ^ err) true
     (contains ~sub:"malformed JSON" err)
 
+(* The deleted engine switches stay decodable (schema 2): [intern] and
+   [prealloc_mb] never changed a result and are ignored, [intra: false]
+   is the only timing model there is, and [intra: true] is rejected at
+   its path rather than silently answered with a different model. *)
+let test_decode_retired_engine_fields () =
+  let spec fields =
+    Printf.sprintf
+      {|{"v":2,"type":"query","job":{"workload":"GOL","technique":"tp"%s}}|}
+      fields
+  in
+  let plain = X.Request.Spec.make ~workload:"GOL" ~technique:"tp" () in
+  List.iter
+    (fun fields ->
+      match X.Request.of_line (spec fields) with
+      | Ok (X.Request.Query s) ->
+        check Alcotest.bool (fields ^ " ignored") true
+          (X.Request.Spec.equal s plain)
+      | Ok _ -> Alcotest.fail "decoded to the wrong request"
+      | Error msg -> Alcotest.failf "%s rejected: %s" fields msg)
+    [ {|,"intern":false|}; {|,"intern":true|}; {|,"prealloc_mb":512|};
+      {|,"intra":false|} ];
+  check Alcotest.bool "never encoded" false
+    (contains ~sub:"intern"
+       (Repro_obs.Json.to_string (X.Request.Spec.to_json plain)));
+  let err =
+    decode_error
+      {|{"v":2,"type":"submit","id":"b","jobs":[{"workload":"GOL","technique":"tp","intra":true}]}|}
+  in
+  check Alcotest.bool ("intra path in: " ^ err) true
+    (contains
+       ~sub:"jobs[0].intra: sharded timing was removed; omit the field" err)
+
 let test_schema_version_checked () =
   let err = decode_error {|{"v":1,"type":"ping"}|} in
   check Alcotest.bool ("version in: " ^ err) true
@@ -700,6 +732,8 @@ let suite =
       test_run_wire_fidelity;
     Alcotest.test_case "decode errors name the field" `Quick
       test_decode_errors_name_field;
+    Alcotest.test_case "retired engine fields decode" `Quick
+      test_decode_retired_engine_fields;
     Alcotest.test_case "schema version checked" `Quick
       test_schema_version_checked;
     Alcotest.test_case "spec resolution" `Quick test_spec_resolution;

@@ -22,7 +22,8 @@
    wall time is unaffected (every warp still replays -- its addresses
    are private); the ratio gates the emission-side win.
 
-   Replays here re-run [Sm.run] on traces recorded once, so their cache
+   Every pass (plain, tracer, translation) replays through [Sm.run_fused],
+   the loop production runs use, on traces recorded once, so their cache
    state differs from a real multi-iteration run — the numbers measure
    engine speed, not workload figures (bench/main.exe does those). *)
 
@@ -103,7 +104,7 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   let replay_once () =
     let cycles = ref 0. in
     List.iter
-      (fun traces -> cycles := !cycles +. G.Sm.run cfg mp ~stats ~traces)
+      (fun traces -> cycles := !cycles +. G.Sm.run_fused cfg mp ~stats ~traces)
       launches;
     !cycles
   in
@@ -125,13 +126,12 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   in
   let ring = Option.get tel.G.Telemetry.ring in
   let tel_mp = G.Mem_path.create cfg in
-  G.Mem_path.set_ring tel_mp (Some ring);
   let tel_stats = G.Stats.create () in
   let replay_tel () =
     G.Telemetry.Ring.begin_launch ring ~base:0.;
     List.iter
       (fun traces ->
-        ignore (G.Sm.run ~telemetry:tel cfg tel_mp ~stats:tel_stats ~traces))
+        ignore (G.Sm.run_fused ~telemetry:tel cfg tel_mp ~stats:tel_stats ~traces))
       launches
   in
   replay_tel ();
@@ -149,7 +149,7 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   let vm_stats = G.Stats.create () in
   let replay_vm () =
     List.iter
-      (fun traces -> ignore (G.Sm.run cfg vm_mp ~stats:vm_stats ~traces))
+      (fun traces -> ignore (G.Sm.run_fused cfg vm_mp ~stats:vm_stats ~traces))
       launches
   in
   replay_vm ();

@@ -38,8 +38,8 @@ type t = {
   tags : int array;
   valid : int array;
   stamps : int array;
-  (* A 1-cell array rather than a mutable int field so the fused replay
-     loop (Sm.run_fused) can hoist it once and bump it with direct array
+  (* A 1-cell array rather than a mutable int field so the replay loop
+     (Sm.run_fused) can hoist it once and bump it with direct array
      stores. *)
   clock : int array;
 }
@@ -62,65 +62,75 @@ let create geom =
 
 let geometry_of t = t.geom
 
-(* Way holding [line] in [set], as a slot index; -1 when absent. Returning
-   an int rather than an option keeps the lookup allocation-free; the scan
-   is a top-level recursion because a local [let rec] capturing its
-   environment would allocate a closure per lookup. *)
-let rec scan_ways (tags : int array) base ways line way =
-  if way >= ways then -1
-  else if tags.(base + way) = line then base + way
-  else scan_ways tags base ways line (way + 1)
-
-let find_slot t ~set ~line =
-  scan_ways t.tags (set * t.geom.ways) t.geom.ways line 0
-
-let lru_slot t ~set =
-  let base = set * t.geom.ways in
-  let best = ref base in
-  for way = 1 to t.geom.ways - 1 do
-    if t.stamps.(base + way) < t.stamps.(!best) then best := base + way
+(* One sector lookup over the raw tag arrays: the first way holding
+   [line] (scanning way 0 upward) refreshes its stamp and hits if the
+   sector is valid, else validates it; an absent line evicts the LRU way
+   (minimum stamp, first found on ties) and installs the sector. Returns
+   true on a hit. Top level, with only int and array arguments, so the
+   replay loop's call carries no closure environment and boxes nothing. *)
+let raw_access (tags : int array) (valid : int array) (stamps : int array)
+    (clock : int array) ways sshift smask setmask sector =
+  let line = sector lsr sshift in
+  let set = line land setmask in
+  let now = clock.(0) + 1 in
+  clock.(0) <- now;
+  let bit = 1 lsl (sector land smask) in
+  let base = set * ways in
+  let slot = ref (-1) in
+  let way = ref 0 in
+  while !slot < 0 && !way < ways do
+    if Array.unsafe_get tags (base + !way) = line then slot := base + !way
+    else incr way
   done;
-  !best
-
-let access t ~sector =
-  let line = sector lsr t.sector_shift in
-  let set = line land t.set_mask in
-  t.clock.(0) <- t.clock.(0) + 1;
-  let bit = 1 lsl (sector land t.sector_mask) in
-  let slot = find_slot t ~set ~line in
-  if slot >= 0 then begin
-    t.stamps.(slot) <- t.clock.(0);
-    if t.valid.(slot) land bit <> 0 then `Hit
+  if !slot >= 0 then begin
+    let s = !slot in
+    Array.unsafe_set stamps s now;
+    if Array.unsafe_get valid s land bit <> 0 then true
     else begin
-      t.valid.(slot) <- t.valid.(slot) lor bit;
-      `Miss
+      Array.unsafe_set valid s (Array.unsafe_get valid s lor bit);
+      false
     end
   end
   else begin
-    let slot = lru_slot t ~set in
-    t.tags.(slot) <- line;
-    t.valid.(slot) <- bit;
-    t.stamps.(slot) <- t.clock.(0);
-    `Miss
+    let best = ref base in
+    for k = 1 to ways - 1 do
+      if Array.unsafe_get stamps (base + k) < Array.unsafe_get stamps !best
+      then best := base + k
+    done;
+    let s = !best in
+    Array.unsafe_set tags s line;
+    Array.unsafe_set valid s bit;
+    Array.unsafe_set stamps s now;
+    false
   end
+
+let access t ~sector =
+  if
+    raw_access t.tags t.valid t.stamps t.clock t.geom.ways t.sector_shift
+      t.sector_mask t.set_mask sector
+  then `Hit
+  else `Miss
 
 let probe t ~sector =
   let line = sector lsr t.sector_shift in
-  let set = line land t.set_mask in
-  let slot = find_slot t ~set ~line in
-  slot >= 0 && t.valid.(slot) land (1 lsl (sector land t.sector_mask)) <> 0
+  let base = (line land t.set_mask) * t.geom.ways in
+  let bit = 1 lsl (sector land t.sector_mask) in
+  let hit = ref false in
+  for slot = base to base + t.geom.ways - 1 do
+    if t.tags.(slot) = line && t.valid.(slot) land bit <> 0 then hit := true
+  done;
+  !hit
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.valid 0 (Array.length t.valid) 0;
   Array.fill t.stamps 0 (Array.length t.stamps) 0
 
-(* Raw state for the fused replay loop: with these hoisted into locals,
-   an [access]-equivalent lookup is pure array arithmetic with no
-   cross-module call (this build has no flambda, so [Cache.access] would
-   otherwise be a real call per sector). The fused loop must reproduce
-   [access] exactly; it is the only sanctioned consumer. *)
+(* Raw state for the replay loop, hoisted into locals once per launch so
+   a lookup is one direct call over arrays ([access] itself is a wrapper
+   over the same [raw_access]). *)
 module Raw = struct
+  let access = raw_access
   let tags t = t.tags
   let valid t = t.valid
   let stamps t = t.stamps

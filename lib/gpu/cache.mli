@@ -36,10 +36,18 @@ val flush : t -> unit
 
 val geometry_of : t -> geometry
 
-(** Raw tag-state access for the fused replay loop ({!Sm}); hoisted once
-    per launch so the per-sector lookup is call-free. Mutating these
-    outside an exact [access] re-implementation breaks the model. *)
+(** Raw tag-state access for the replay loop ({!Sm}): the arrays are
+    hoisted once per launch and looked up through {!Raw.access}, the one
+    implementation {!access} also wraps. Mutating them any other way
+    breaks the model. *)
 module Raw : sig
+  val access :
+    int array -> int array -> int array -> int array ->
+    int -> int -> int -> int -> int -> bool
+  (** [access tags valid stamps clock ways sector_shift sector_mask
+      set_mask sector] is {!access} over the raw state below: [true] on a
+      hit. Allocation-free. *)
+
   val tags : t -> int array
   (** Resident line per slot; -1 invalid. *)
 

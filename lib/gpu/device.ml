@@ -28,14 +28,10 @@ let create ?(config = Config.default) ?san
     | Some c when Telemetry.config_enabled c -> Some (Telemetry.create c)
     | Some _ | None -> None
   in
-  let mem_path = Mem_path.create config in
-  (match tel with
-   | Some { Telemetry.ring = Some ring; _ } -> Mem_path.set_ring mem_path (Some ring)
-   | Some _ | None -> ());
   {
     cfg = config;
     heap;
-    mem_path;
+    mem_path = Mem_path.create config;
     scratch = Trace.create ~capacity:256 ();
     stats = Stats.create ();
     san;
@@ -91,76 +87,62 @@ let launch t ~n_threads kernel =
      the cumulative totals, so the per-kernel deltas of [kernel_timeline]
      sum (bit-for-bit, including the float counters) to [stats]. *)
   let launch_stats = Stats.create () in
-  let san_delta () =
-    (* Sanitizer violations detected during this launch's functional
-       phase belong to this launch's delta, keeping the
-       timeline-sums-to-totals invariant intact. *)
-    match t.san with
-    | None -> ()
-    | Some san ->
-      Stats.count_san_violations launch_stats
-        (Repro_san.Checker.take_kernel_delta san)
+  let ring, sampler =
+    match t.tel with
+    | Some tel -> (tel.Telemetry.ring, tel.Telemetry.sampler)
+    | None -> (None, None)
   in
-  (match t.tel with
-   | None ->
-     let cycles =
-       if Mem_path.plain t.mem_path then
-         (* Byte-identical to Sm.run (the fused loop replicates its event
-            order and float sequence); a translation model needs Sm.run. *)
-         Sm.run_fused t.cfg t.mem_path ~stats:launch_stats ~traces
-       else Sm.run t.cfg t.mem_path ~stats:launch_stats ~traces
-     in
-     Stats.add_cycles launch_stats cycles;
-     san_delta ()
-   | Some tel ->
-     (* Launches concatenate on one absolute time axis whose origin is
-        the cumulative cycle count so far. *)
-     let base = Stats.cycles t.stats in
-     (match tel.Telemetry.ring with
-      | Some ring -> Telemetry.Ring.begin_launch ring ~base
-      | None -> ());
-     (match tel.Telemetry.sampler with
-      | Some sampler -> Telemetry.Sampler.begin_launch sampler
-      | None -> ());
-     let cycles = Sm.run ~telemetry:tel t.cfg t.mem_path ~stats:launch_stats ~traces in
-     (match tel.Telemetry.ring with
-      | Some ring ->
-        (* The span covers trailing write-through DRAM drain the ring
-           may have recorded past the last warp's retirement. *)
-        let dur = fmax cycles (Telemetry.Ring.max_end ring -. base) in
-        t.spans <- { Telemetry.index = t.launches; start = base; dur } :: t.spans
-      | None -> ());
-     (match tel.Telemetry.sampler with
-      | None ->
-        (* Ring only: counters went straight into [launch_stats]. *)
-        Stats.add_cycles launch_stats cycles;
-        san_delta ();
-        (match tel.Telemetry.ring with
-         | Some ring ->
-           Stats.count_trace_dropped launch_stats (Telemetry.Ring.take_dropped ring)
-         | None -> ())
-      | Some sampler ->
-        (* Windowed: the engine counted into per-window rows. Fold them
-           in order into the launch delta — the identical association a
-           plain run performs, so totals (cycles included, see
-           [Sampler.finish_launch]) match a telemetry-off run bit-for-bit
-           on every integer counter and on cycles. Launch-scoped counts
-           with no cycle of their own (sanitizer delta, ring drops) land
-           in the last window. *)
-        Telemetry.Sampler.finish_launch sampler ~cycles;
-        let rows = Telemetry.Sampler.take sampler in
-        let last = rows.(Array.length rows - 1) in
-        (match t.san with
-         | None -> ()
-         | Some san ->
-           Stats.count_san_violations last
-             (Repro_san.Checker.take_kernel_delta san));
-        (match tel.Telemetry.ring with
-         | Some ring ->
-           Stats.count_trace_dropped last (Telemetry.Ring.take_dropped ring)
-         | None -> ());
-        Array.iter (fun row -> Stats.add launch_stats row) rows;
-        t.windows <- rows :: t.windows));
+  (* Launches concatenate on one absolute time axis whose origin is the
+     cumulative cycle count so far. *)
+  let base = Stats.cycles t.stats in
+  (match ring with
+   | Some ring -> Telemetry.Ring.begin_launch ring ~base
+   | None -> ());
+  (match sampler with
+   | Some sampler -> Telemetry.Sampler.begin_launch sampler
+   | None -> ());
+  let cycles =
+    Sm.run_fused ?telemetry:t.tel t.cfg t.mem_path ~stats:launch_stats ~traces
+  in
+  (match ring with
+   | Some ring ->
+     (* The span covers trailing write-through DRAM drain the ring may
+        have recorded past the last warp's retirement. *)
+     let dur = fmax cycles (Telemetry.Ring.max_end ring -. base) in
+     t.spans <- { Telemetry.index = t.launches; start = base; dur } :: t.spans
+   | None -> ());
+  (* Windowed: the loop counted into per-window rows, folded in order
+     into the launch delta below — the identical association a plain run
+     performs, so totals (cycles included, see [Sampler.finish_launch])
+     match a telemetry-off run bit-for-bit on every integer counter and
+     on cycles. *)
+  let rows =
+    match sampler with
+    | None -> None
+    | Some sampler ->
+      Telemetry.Sampler.finish_launch sampler ~cycles;
+      let rows = Telemetry.Sampler.take sampler in
+      t.windows <- rows :: t.windows;
+      Some rows
+  in
+  (* Launch-scoped counts with no cycle of their own (the sanitizer's
+     violations from the functional phase, ring drops) go into the launch
+     delta, or into its last window when sampling. *)
+  let tail =
+    match rows with
+    | None -> launch_stats
+    | Some rows -> rows.(Array.length rows - 1)
+  in
+  (match t.san with
+   | None -> ()
+   | Some san ->
+     Stats.count_san_violations tail (Repro_san.Checker.take_kernel_delta san));
+  (match ring with
+   | Some ring -> Stats.count_trace_dropped tail (Telemetry.Ring.take_dropped ring)
+   | None -> ());
+  (match rows with
+   | None -> Stats.add_cycles launch_stats cycles
+   | Some rows -> Array.iter (fun row -> Stats.add launch_stats row) rows);
   Stats.add t.stats launch_stats;
   t.timeline <- launch_stats :: t.timeline;
   t.launches <- t.launches + 1;

@@ -4,7 +4,7 @@
     grid into warps and runs the kernel body once per warp through
     {!Warp_ctx}, mutating the simulated heap and recording instruction
     traces — values never depend on timing, so traces are exact. Phase 2
-    ({!Sm.run}) replays the traces through the timing model. Kernels must
+    ({!Sm.run_fused}) replays the traces through the timing model. Kernels must
     be data-race-free across warps within a launch (the usual CUDA
     contract); phase 1 executes warps in grid order. *)
 
@@ -20,14 +20,14 @@ val create :
 
     Phase 1 emits every warp through one reusable scratch trace and
     hash-conses identical instruction streams per launch
-    ({!Trace.Intern}). Phase 2 replays through {!Sm.run_fused} unless
-    telemetry or a translation model needs the reference {!Sm.run};
-    stats are byte-identical either way.
+    ({!Trace.Intern}). Phase 2 replays every launch through
+    {!Sm.run_fused}, with the translation model and telemetry (if any)
+    attached; telemetry observes only.
 
     [telemetry] opts into cycle-resolved instrumentation, allocated once
     here: windowed counter sampling ({!window_timeline}) and/or the
     event ring behind {!telemetry_dump}. A disabled config (the
-    default, or {!Telemetry.off}) leaves the replay path untouched. *)
+    default, or {!Telemetry.off}) records nothing. *)
 
 val config : t -> Config.t
 

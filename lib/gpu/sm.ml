@@ -1,304 +1,77 @@
-(* The event-driven warp scheduler, written as a zero-allocation replay
-   loop: warp state is a pair of int arrays (program counter, and the
-   round-robin SM is recomputed from the warp index), the ready queue is
-   the flat {!Event_heap} with warp indices as payloads, and floats cross
-   the [Mem_path] boundary through its [io] mailbox. Nothing on the
-   per-instruction path builds a record, option, closure or boxed float;
-   the only allocations are per-warp (activation list, heap growth),
-   constant for a fixed launch shape regardless of trace length.
+(* The event-driven warp scheduler, written as one zero-allocation replay
+   loop. This build has no flambda, so every cross-module call on the
+   per-instruction path would be a real call; the loop therefore hoists
+   trace columns, cache tag state, memory-path clocks and the telemetry
+   sinks into locals once per launch and walks the L1 -> L2 -> DRAM
+   hierarchy inline over them:
 
-   Telemetry keeps that discipline: the plain drain loop below is
-   untouched when no [Telemetry.t] is passed, and the instrumented twin
-   only adds a float-array compare per pop (the sampler's boundary
-   mailbox) plus direct int/float-array stores into the event ring —
-   recording never boxes. The loops are written out twice rather than
-   parameterized so the off path carries no telemetry branches at all. *)
-
-(* Bit-identical to [Float.max] on this domain (non-NaN, no negative
-   zero): simulated times only grow from 0 by positive increments. *)
-let fmax (a : float) (b : float) = if a >= b then a else b
-
-let run ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
-  Config.validate cfg;
-  let n_warps = Array.length traces in
-  if n_warps = 0 then 0.
-  else begin
-    Mem_path.begin_kernel mem_path;
-    let issue_clock = Array.make cfg.n_sms 0. in
-    let pcs = Array.make n_warps 0 in
-    let events = Event_heap.create ~capacity:n_warps () in
-    let kc = Event_heap.key_cell events in
-    let io = Mem_path.io mem_path in
-    (* finish.(0) is the kernel completion time; a float array cell
-       rather than a [float ref], whose every [:=] would box. *)
-    let finish = Array.make 1 0. in
-    (* Warps are dealt round-robin to SMs; each SM activates its first
-       [max_warps_per_sm] immediately and queues the rest. *)
-    let pending = Array.make cfg.n_sms ([] : int list) in
-    for i = n_warps - 1 downto 0 do
-      let sm = i mod cfg.n_sms in
-      pending.(sm) <- i :: pending.(sm)
-    done;
-    let activate sm now =
-      match pending.(sm) with
-      | [] -> ()
-      | w :: rest ->
-        pending.(sm) <- rest;
-        kc.(0) <- now;
-        Event_heap.push events w
-    in
-    for sm = 0 to cfg.n_sms - 1 do
-      for _ = 1 to cfg.max_warps_per_sm do
-        activate sm 0.
-      done
-    done;
-    let issue_cost = 1. /. float_of_int cfg.issue_width in
-    let ctrl_lat = float_of_int cfg.ctrl_latency in
-    let const_lat = float_of_int cfg.const_latency in
-    let call_ind_lat = float_of_int cfg.call_indirect_latency in
-    let call_dir_lat = float_of_int cfg.call_direct_latency in
-    (match telemetry with
-     | None ->
-       let stalls = Stats.stall_accumulator stats in
-       let rec drain () =
-         let w = Event_heap.pop events in
-         if w >= 0 then begin
-           let ready = kc.(0) in
-           let tr = traces.(w) in
-           let pc = pcs.(w) in
-           let sm = w mod cfg.n_sms in
-           if pc >= Trace.length tr then begin
-             (* Warp retires; its slot frees for a pending warp. *)
-             if ready > finish.(0) then finish.(0) <- ready;
-             activate sm ready
-           end
-           else begin
-             pcs.(w) <- pc + 1;
-             let op = Trace.op tr pc in
-             let lbl = Trace.label_index tr pc in
-             let rep = Trace.repeat tr pc in
-             Stats.count_classified stats
-               (if op = Trace.op_compute then `Compute
-                else if op = Trace.op_ctrl || op >= Trace.op_call_indirect then `Ctrl
-                else `Mem)
-               rep;
-             let issue_time = fmax ready issue_clock.(sm) in
-             let slots = float_of_int rep *. issue_cost in
-             issue_clock.(sm) <- issue_time +. slots;
-             let next_ready =
-               if op = Trace.op_load then begin
-                 io.(0) <- issue_time;
-                 Mem_path.load_soa mem_path ~stats ~label_idx:lbl ~sm
-                   ~arena:(Trace.arena tr) ~off:(Trace.addr_off tr pc)
-                   ~len:(Trace.active tr pc);
-                 if Trace.is_blocking tr pc then io.(1) else issue_time +. slots
-               end
-               else if op = Trace.op_store then begin
-                 io.(0) <- issue_time;
-                 Mem_path.store_soa mem_path ~stats ~sm ~arena:(Trace.arena tr)
-                   ~off:(Trace.addr_off tr pc) ~len:(Trace.active tr pc);
-                 issue_time +. slots
-               end
-               else if op = Trace.op_compute then
-                 if Trace.is_blocking tr pc then
-                   (* A dependent ALU chain: each op waits on the previous. *)
-                   issue_time +. float_of_int (rep * cfg.compute_latency)
-                 else issue_time +. slots
-               else if op = Trace.op_ctrl then issue_time +. ctrl_lat
-               else if op = Trace.op_const_load then issue_time +. const_lat
-               else if op = Trace.op_call_indirect then issue_time +. call_ind_lat
-               else issue_time +. call_dir_lat
-             in
-             let stall = next_ready -. issue_time -. slots in
-             if stall > 0. then stalls.(lbl) <- stalls.(lbl) +. stall;
-             kc.(0) <- next_ready;
-             Event_heap.push events w
-           end;
-           drain ()
-         end
-       in
-       drain ()
-     | Some tel ->
-       let sampler = tel.Telemetry.sampler in
-       let ring = tel.Telemetry.ring in
-       (* With sampling on, counters flow into the open window's row;
-          [cur]/[stalls] are refs so the rare boundary crossing can swap
-          them (a pointer store, no allocation). The infinity mailbox
-          makes the per-pop compare uniform when sampling is off. *)
-       let bcell =
-         match sampler with
-         | Some s -> Telemetry.Sampler.boundary_cell s
-         | None -> Array.make 1 infinity
-       in
-       let cur =
-         ref
-           (match sampler with
-            | Some s -> Telemetry.Sampler.current s
-            | None -> stats)
-       in
-       let stalls = ref (Stats.stall_accumulator !cur) in
-       let rec drain () =
-         let w = Event_heap.pop events in
-         if w >= 0 then begin
-           let ready = kc.(0) in
-           if ready >= bcell.(0) then begin
-             match sampler with
-             | Some s ->
-               Telemetry.Sampler.advance s ~now:ready;
-               let row = Telemetry.Sampler.current s in
-               cur := row;
-               stalls := Stats.stall_accumulator row
-             | None -> ()
-           end;
-           let tr = traces.(w) in
-           let pc = pcs.(w) in
-           let sm = w mod cfg.n_sms in
-           if pc >= Trace.length tr then begin
-             if ready > finish.(0) then finish.(0) <- ready;
-             activate sm ready
-           end
-           else begin
-             pcs.(w) <- pc + 1;
-             let op = Trace.op tr pc in
-             let lbl = Trace.label_index tr pc in
-             let rep = Trace.repeat tr pc in
-             let st = !cur in
-             Stats.count_classified st
-               (if op = Trace.op_compute then `Compute
-                else if op = Trace.op_ctrl || op >= Trace.op_call_indirect then `Ctrl
-                else `Mem)
-               rep;
-             let issue_time = fmax ready issue_clock.(sm) in
-             let slots = float_of_int rep *. issue_cost in
-             issue_clock.(sm) <- issue_time +. slots;
-             let next_ready =
-               if op = Trace.op_load then begin
-                 io.(0) <- issue_time;
-                 Mem_path.load_soa mem_path ~stats:st ~label_idx:lbl ~sm
-                   ~arena:(Trace.arena tr) ~off:(Trace.addr_off tr pc)
-                   ~len:(Trace.active tr pc);
-                 if Trace.is_blocking tr pc then io.(1) else issue_time +. slots
-               end
-               else if op = Trace.op_store then begin
-                 io.(0) <- issue_time;
-                 Mem_path.store_soa mem_path ~stats:st ~sm ~arena:(Trace.arena tr)
-                   ~off:(Trace.addr_off tr pc) ~len:(Trace.active tr pc);
-                 issue_time +. slots
-               end
-               else if op = Trace.op_compute then
-                 if Trace.is_blocking tr pc then
-                   issue_time +. float_of_int (rep * cfg.compute_latency)
-                 else issue_time +. slots
-               else if op = Trace.op_ctrl then issue_time +. ctrl_lat
-               else if op = Trace.op_const_load then issue_time +. const_lat
-               else if op = Trace.op_call_indirect then issue_time +. call_ind_lat
-               else issue_time +. call_dir_lat
-             in
-             let stall = next_ready -. issue_time -. slots in
-             if stall > 0. then begin
-               let sa = !stalls in
-               sa.(lbl) <- sa.(lbl) +. stall;
-               match ring with
-               | Some r ->
-                 (* Stall span, written field by field (a helper taking
-                    ts/dur floats would box them per event). *)
-                 let i = r.Telemetry.Ring.head in
-                 r.Telemetry.Ring.kind.(i) <- Telemetry.Ring.kind_stall;
-                 r.Telemetry.Ring.track.(i) <- sm;
-                 r.Telemetry.Ring.arg_a.(i) <- lbl;
-                 r.Telemetry.Ring.arg_b.(i) <- w;
-                 let t0 = r.Telemetry.Ring.cells.(0) +. issue_time +. slots in
-                 r.Telemetry.Ring.ts.(i) <- t0;
-                 r.Telemetry.Ring.dur.(i) <- stall;
-                 let e = t0 +. stall in
-                 if e > r.Telemetry.Ring.cells.(1) then
-                   r.Telemetry.Ring.cells.(1) <- e;
-                 Telemetry.Ring.bump r
-               | None -> ()
-             end;
-             kc.(0) <- next_ready;
-             Event_heap.push events w
-           end;
-           drain ()
-         end
-       in
-       drain ());
-    finish.(0)
-  end
-
-(* [Cache.access] over raw arrays for the fused loop below: same scan
-   orders, same clock/stamp updates, returning a bare bool (true = the
-   sector was valid). Top level so the call carries no closure
-   environment; every argument is an int or an array, so nothing boxes. *)
-let access_raw (tags : int array) (valid : int array) (stamps : int array)
-    (clock : int array) ways sshift smask setmask sector =
-  let line = sector lsr sshift in
-  let set = line land setmask in
-  let now = clock.(0) + 1 in
-  clock.(0) <- now;
-  let bit = 1 lsl (sector land smask) in
-  let base = set * ways in
-  (* First way holding [line], scanning way 0 upward (Cache.find_slot). *)
-  let slot = ref (-1) in
-  let way = ref 0 in
-  while !slot < 0 && !way < ways do
-    if Array.unsafe_get tags (base + !way) = line then slot := base + !way
-    else incr way
-  done;
-  if !slot >= 0 then begin
-    let s = !slot in
-    Array.unsafe_set stamps s now;
-    if Array.unsafe_get valid s land bit <> 0 then true
-    else begin
-      Array.unsafe_set valid s (Array.unsafe_get valid s lor bit);
-      false
-    end
-  end
-  else begin
-    (* Evict the LRU way: min stamp, first-found on ties (Cache.lru_slot
-       scans way 1 upward with a strict compare). *)
-    let best = ref base in
-    for k = 1 to ways - 1 do
-      if Array.unsafe_get stamps (base + k) < Array.unsafe_get stamps !best
-      then best := base + k
-    done;
-    let s = !best in
-    Array.unsafe_set tags s line;
-    Array.unsafe_set valid s bit;
-    Array.unsafe_set stamps s now;
-    false
-  end
-
-(* The fused replay twin of [run]: same event order, same float
-   operations in the same sequence, so the launch it times is
-   byte-identical in cycles and counters — verified by the qcheck
-   equivalence test and the committed per-cell digests. What changes is
-   only mechanics (this build has no flambda, so every cross-module
-   call in [run]'s per-instruction path is a real call):
-
-   - trace columns, cache state and memory-path clocks are hoisted into
-     locals once per launch, and the [Mem_path.load_soa]/[store_soa]
-     hierarchy walk and [Cache.access] are inlined over them
-     ([access_raw]), eliminating the per-sector call chain;
    - the event heap is a local replace-top heap: every pop is followed
      by at most one push (the re-issue or an activation), which a
-     pop-then-push pair services with a single root sift. Heap content
-     after each step equals [Event_heap]'s (same keys, same insertion
-     sequence numbers), and the pop order — the only thing timing and
-     counters depend on — is the lexicographic (key, seq) minimum of
-     that content, so it is identical by construction;
-   - int counters (instruction classes, transactions, hits, DRAM
-     sectors) accumulate in locals and flush once per launch through
-     [Stats.bump_replay_counters]; integer adds are exact, so the
-     totals match per-instruction counting bit for bit.
+     pop-then-push pair services with a single root sift. Pop order is
+     the lexicographic (key, insertion sequence) minimum, so equal-time
+     warps come out FIFO;
+   - int counters (instruction classes, transactions, hits, DRAM sectors,
+     TLB outcomes) accumulate in locals and flush through
+     [Stats.bump_replay_counters] once per launch, or at each sampling
+     window boundary; integer adds are exact, so the totals match
+     per-instruction counting bit for bit. Float counters (stalls, TLB
+     walk cycles) are added per event, in event order, into the open
+     row;
+   - translation and telemetry are matched once per launch into locals.
+     Without a translation model the per-sector delay [tx] is exactly
+     [0.], and [t +. 0. = t] on this domain, so one walk serves both
+     cases. Without a sampler the boundary cell holds [infinity]; without
+     a ring the event writes are skipped. Recording is direct int and
+     float-array stores, so it never boxes.
 
-   The precondition mirrors the replay gate in [Device]: no telemetry
-   and no address translation ([Mem_path.plain]); [run] remains the
-   reference path for those. *)
-let run_fused (cfg : Config.t) mem_path ~stats ~traces =
+   Nothing on the per-instruction path builds a record, option, closure
+   or boxed float; the only allocations are per launch (hoisted column
+   arrays, the heap) and per window boundary. *)
+
+(* Write one event at the ring head by direct stores; [abs_ts] already
+   includes the launch base. Inlined, so the float arguments stay in
+   registers. [head] < capacity always (Ring.bump wraps it), and the six
+   arrays share that capacity, so the unsafe stores are in bounds. *)
+let[@inline] emit_abs r kind track a b abs_ts dur =
+  let i = r.Telemetry.Ring.head in
+  Array.unsafe_set r.Telemetry.Ring.kind i kind;
+  Array.unsafe_set r.Telemetry.Ring.track i track;
+  Array.unsafe_set r.Telemetry.Ring.arg_a i a;
+  Array.unsafe_set r.Telemetry.Ring.arg_b i b;
+  Array.unsafe_set r.Telemetry.Ring.ts i abs_ts;
+  Array.unsafe_set r.Telemetry.Ring.dur i dur;
+  let e = abs_ts +. dur in
+  if e > Array.unsafe_get r.Telemetry.Ring.cells 1 then
+    Array.unsafe_set r.Telemetry.Ring.cells 1 e;
+  Telemetry.Ring.bump r
+
+(* A memory-system event at launch-relative time [ts]. *)
+let[@inline] emit r kind track a b ts dur =
+  emit_abs r kind track a b (Array.unsafe_get r.Telemetry.Ring.cells 0 +. ts) dur
+
+(* One sector's address translation, issued at [t0]: the lookup code
+   indexes [vm_lat] (0 on an L1 TLB hit) and the returned delay pushes
+   the sector's first cache arbitration. [tlb] counts L1 hits, L2 hits
+   and walks; [walk.(0)] is the open row's running walk-cycle total.
+   [0.] when no model is attached. *)
+let[@inline] translate vm vm_lat tlb walk ring sm sector t0 =
+  match vm with
+  | None -> 0.
+  | Some v ->
+    let code = Repro_vm.Vm.lookup v ~sm ~sector in
+    let tx = Array.unsafe_get vm_lat code in
+    if code < 2 then Array.unsafe_set tlb code (Array.unsafe_get tlb code + 1)
+    else begin
+      Array.unsafe_set tlb 2 (Array.unsafe_get tlb 2 + 1);
+      Array.unsafe_set walk 0 (Array.unsafe_get walk 0 +. tx);
+      match ring with
+      | Some r -> emit r Telemetry.Ring.kind_tlb sm (code - 2) sector t0 tx
+      | None -> ()
+    end;
+    tx
+
+let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
   Config.validate cfg;
-  if not (Mem_path.plain mem_path) then
-    invalid_arg "Sm.run_fused: mem path has telemetry or translation attached";
   let n_warps = Array.length traces in
   if n_warps = 0 then 0.
   else begin
@@ -330,6 +103,8 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
     let l2_lat = Mem_path.Raw.l2_lat mem_path in
     let dram_lat = Mem_path.Raw.dram_lat mem_path in
     let n_over_l1 = Mem_path.Raw.n_over_l1 mem_path in
+    let vm = Mem_path.vm mem_path in
+    let vm_lat = Mem_path.Raw.vm_lat mem_path in
     let l1s = Mem_path.Raw.l1s mem_path in
     let l1_tags = Array.map Cache.Raw.tags l1s in
     let l1_valid = Array.map Cache.Raw.valid l1s in
@@ -348,26 +123,37 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
     let l2_sshift = Cache.Raw.sector_shift l2 in
     let l2_smask = Cache.Raw.sector_mask l2 in
     let l2_setmask = Cache.Raw.set_mask l2 in
-    (* Stats sinks: float stalls and per-label transactions stream to
-       the shared accumulators; scalar int counters stay in locals until
-       the one flush at the end. *)
-    let stalls = Stats.stall_accumulator stats in
-    let ld_by_lbl = Stats.load_transactions_accumulator stats in
+    (* Telemetry sinks. With sampling on, counters flow into the open
+       window's row: [cur] and its accumulators are rebound at each
+       boundary crossing (pointer stores, no allocation). *)
+    let ring, sampler =
+      match telemetry with
+      | Some tel -> (tel.Telemetry.ring, tel.Telemetry.sampler)
+      | None -> (None, None)
+    in
+    let bcell =
+      match sampler with
+      | Some s -> Telemetry.Sampler.boundary_cell s
+      | None -> [| infinity |]
+    in
+    let cur =
+      ref (match sampler with Some s -> Telemetry.Sampler.current s | None -> stats)
+    in
+    let stalls = ref (Stats.stall_accumulator !cur) in
+    let ld_by_lbl = ref (Stats.load_transactions_accumulator !cur) in
+    let walk = [| Stats.tlb_walk_cycles !cur |] in
+    let tlb = Array.make 3 0 in
     let n_mem = ref 0 and n_comp = ref 0 and n_ctrl = ref 0 in
     let ld_tr = ref 0 and st_tr = ref 0 in
     let l1h = ref 0 and l1m = ref 0 and l2h = ref 0 and l2m = ref 0 in
     let dram = ref 0 in
-    (* Load completion mailbox (io.(1)'s role) and kernel finish time. *)
+    (* Load completion time and kernel finish time, as float cells. *)
     let compl_ = Array.make 1 0. in
     let finish = Array.make 1 0. in
     (* The replace-top heap. Capacity [n_warps] suffices: every pop is
        followed by at most one push, and the initial activations push at
        most one entry per warp. 4-ary with a hole sift (save the root
-       entry, pull min-children up, place once): half the depth and a
-       third of the array writes of a binary swap sift. Any exact
-       min-queue yields the same pop order — each pop takes the
-       lexicographic (key, seq) minimum of the same content — so the
-       replay it drives is byte-identical regardless of arity. *)
+       entry, pull min-children up, place once). *)
     let hkeys = Array.make n_warps 0. in
     let hseqs = Array.make n_warps 0 in
     let hvals = Array.make n_warps 0 in
@@ -407,11 +193,10 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
       Array.unsafe_set hseqs !i q;
       Array.unsafe_set hvals !i v
     in
-    (* Same warp dealing as [run]: round-robin to SMs, first
-       [max_warps_per_sm] per SM active immediately. The initial pushes
-       all carry key 0 with ascending seqs, so appending in order
-       already satisfies the heap invariant (parent index < child index
-       implies parent seq < child seq — for any arity). *)
+    (* Warps are dealt round-robin to SMs; each SM activates its first
+       [max_warps_per_sm] immediately and queues the rest. The initial
+       pushes all carry key 0 with ascending seqs, so appending in order
+       already satisfies the heap invariant. *)
     let pending = Array.make n_sms ([] : int list) in
     for i = n_warps - 1 downto 0 do
       let sm = i mod n_sms in
@@ -438,6 +223,26 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
     let compute_latency = cfg.compute_latency in
     while !hlen > 0 do
       let ready = hkeys.(0) in
+      (if ready >= bcell.(0) then
+         match sampler with
+         | Some s ->
+           (* Window boundary: close the open row's integer counters,
+              then count into the row [ready] falls in. *)
+           Stats.bump_replay_counters !cur ~mem:!n_mem ~compute:!n_comp
+             ~ctrl:!n_ctrl ~load_trans:!ld_tr ~store_trans:!st_tr
+             ~l1_hits:!l1h ~l1_misses:!l1m ~l2_hits:!l2h ~l2_misses:!l2m
+             ~dram_sectors:!dram ~tlb_l1_hits:tlb.(0) ~tlb_l2_hits:tlb.(1)
+             ~tlb_walks:tlb.(2) ~tlb_walk_cycles_total:walk.(0);
+           n_mem := 0; n_comp := 0; n_ctrl := 0; ld_tr := 0; st_tr := 0;
+           l1h := 0; l1m := 0; l2h := 0; l2m := 0; dram := 0;
+           Array.fill tlb 0 3 0;
+           Telemetry.Sampler.advance s ~now:ready;
+           let row = Telemetry.Sampler.current s in
+           cur := row;
+           stalls := Stats.stall_accumulator row;
+           ld_by_lbl := Stats.load_transactions_accumulator row;
+           walk.(0) <- Stats.tlb_walk_cycles row
+         | None -> ());
       let w = hvals.(0) in
       let sm = w mod n_sms in
       let pc = Array.unsafe_get pcs w in
@@ -483,7 +288,11 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
             let len = Array.unsafe_get (Array.unsafe_get acts w) pc in
             let n = Coalesce.sectors_into_unsafe ~buf:scratch arena ~off ~len in
             ld_tr := !ld_tr + n;
-            ld_by_lbl.(lbl) <- ld_by_lbl.(lbl) + n;
+            let lb = !ld_by_lbl in
+            lb.(lbl) <- lb.(lbl) + n;
+            (* LSU acceptance: the access starts no earlier than the SM's
+               LSU is free and occupies it for max(issue slot, sector
+               drain). *)
             let lf = Array.unsafe_get lsu_next_free sm in
             let t0 = if issue_time >= lf then issue_time else lf in
             let occ = Array.unsafe_get n_over_l1 n in
@@ -495,40 +304,66 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
             let l1st = Array.unsafe_get l1_stamps sm in
             let l1ck = Array.unsafe_get l1_clock sm in
             for i = 0 to n - 1 do
+              (* One sector through the hierarchy: bandwidth reservation
+                 at each level it reaches, cumulative latency down to the
+                 level that hits; the completion time folds into
+                 [compl_] by replace-if-greater. *)
               let sector = Array.unsafe_get scratch i in
+              let a = t0 +. translate vm vm_lat tlb walk ring sm sector t0 in
               let lnf = Array.unsafe_get l1_next_free sm in
-              let t1 = if t0 >= lnf then t0 else lnf in
+              let t1 = if a >= lnf then a else lnf in
               Array.unsafe_set l1_next_free sm (t1 +. inv_l1_tp);
               if
-                access_raw l1t l1v l1st l1ck l1_ways l1_sshift l1_smask
+                Cache.Raw.access l1t l1v l1st l1ck l1_ways l1_sshift l1_smask
                   l1_setmask sector
               then begin
                 incr l1h;
+                (match ring with
+                 | Some r -> emit r Telemetry.Ring.kind_l1 sm 1 sector t1 l1_lat
+                 | None -> ());
                 let c = t1 +. l1_lat in
                 if c > compl_.(0) then compl_.(0) <- c
               end
               else begin
                 incr l1m;
+                (match ring with
+                 | Some r -> emit r Telemetry.Ring.kind_l1 sm 0 sector t1 0.
+                 | None -> ());
                 let a = t1 +. l1_lat in
                 let t2 = if a >= clk.(0) then a else clk.(0) in
                 clk.(0) <- t2 +. inv_l2_tp;
                 if
-                  access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
+                  Cache.Raw.access l2_tags l2_valid l2_stamps l2_clock l2_ways
                     l2_sshift l2_smask l2_setmask sector
                 then begin
                   incr l2h;
+                  (match ring with
+                   | Some r -> emit r Telemetry.Ring.kind_l2 sm 1 sector t2 l2_lat
+                   | None -> ());
                   let c = t2 +. l2_lat in
                   if c > compl_.(0) then compl_.(0) <- c
                 end
                 else begin
                   incr l2m;
+                  (match ring with
+                   | Some r -> emit r Telemetry.Ring.kind_l2 sm 0 sector t2 0.
+                   | None -> ());
+                  (* DRAM is accessed at 64 B granularity (Volta's L2 fill
+                     size): the missing sector and its pair are both
+                     fetched and installed. Padded or scattered objects
+                     waste the pair half; packed objects find their
+                     neighbour in it — a first-order reason type-based
+                     packing wins (Sec. 8.2). *)
                   dram := !dram + 2;
                   ignore
-                    (access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
-                       l2_sshift l2_smask l2_setmask (sector lxor 1));
+                    (Cache.Raw.access l2_tags l2_valid l2_stamps l2_clock
+                       l2_ways l2_sshift l2_smask l2_setmask (sector lxor 1));
                   let b = t2 +. l2_lat in
                   let t3 = if b >= clk.(1) then b else clk.(1) in
                   clk.(1) <- t3 +. dram_pair_cost;
+                  (match ring with
+                   | Some r -> emit r Telemetry.Ring.kind_dram sm 2 sector t3 dram_lat
+                   | None -> ());
                   let c = t3 +. dram_lat in
                   if c > compl_.(0) then compl_.(0) <- c
                 end
@@ -550,23 +385,40 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
             Array.unsafe_set lsu_next_free sm
               (t0 +. if inv_lsu_tp >= occ then inv_lsu_tp else occ);
             for i = 0 to n - 1 do
+              (* Write-through: every store sector consumes L2 bandwidth
+                 and is installed there; an L2 miss also consumes DRAM
+                 bandwidth. A sector cannot reach L2 before its page
+                 translates. Store events are instants (dur 0): the warp
+                 does not wait on them, and the DRAM drain can outlive the
+                 kernel's last warp. *)
               let sector = Array.unsafe_get scratch i in
-              let t2 = if t0 >= clk.(0) then t0 else clk.(0) in
+              let a = t0 +. translate vm vm_lat tlb walk ring sm sector t0 in
+              let t2 = if a >= clk.(0) then a else clk.(0) in
               clk.(0) <- t2 +. inv_l2_tp;
               if
-                not
-                  (access_raw l2_tags l2_valid l2_stamps l2_clock l2_ways
-                     l2_sshift l2_smask l2_setmask sector)
-              then begin
+                Cache.Raw.access l2_tags l2_valid l2_stamps l2_clock l2_ways
+                  l2_sshift l2_smask l2_setmask sector
+              then
+                match ring with
+                | Some r -> emit r Telemetry.Ring.kind_l2 sm 3 sector t2 0.
+                | None -> ()
+              else begin
+                (match ring with
+                 | Some r -> emit r Telemetry.Ring.kind_l2 sm 2 sector t2 0.
+                 | None -> ());
                 incr dram;
                 let t3 = if t2 >= clk.(1) then t2 else clk.(1) in
-                clk.(1) <- t3 +. inv_dram_cost
+                clk.(1) <- t3 +. inv_dram_cost;
+                match ring with
+                | Some r -> emit r Telemetry.Ring.kind_dram sm 1 sector t3 0.
+                | None -> ()
               end
             done;
             issue_time +. slots
           end
           else if op = Trace.op_compute then
             if Array.unsafe_get (Array.unsafe_get blks w) pc <> 0 then
+              (* A dependent ALU chain: each op waits on the previous. *)
               issue_time +. float_of_int (rep * compute_latency)
             else issue_time +. slots
           else if op = Trace.op_ctrl then issue_time +. ctrl_lat
@@ -575,15 +427,25 @@ let run_fused (cfg : Config.t) mem_path ~stats ~traces =
           else issue_time +. call_dir_lat
         in
         let stall = next_ready -. issue_time -. slots in
-        if stall > 0. then stalls.(lbl) <- stalls.(lbl) +. stall;
+        if stall > 0. then begin
+          let sa = !stalls in
+          sa.(lbl) <- sa.(lbl) +. stall;
+          match ring with
+          | Some r ->
+            emit_abs r Telemetry.Ring.kind_stall sm lbl w
+              (r.Telemetry.Ring.cells.(0) +. issue_time +. slots) stall
+          | None -> ()
+        end;
         hkeys.(0) <- next_ready;
         hseqs.(0) <- !hseq;
         incr hseq;
         sift_down_root ()
       end
     done;
-    Stats.bump_replay_counters stats ~mem:!n_mem ~compute:!n_comp
+    Stats.bump_replay_counters !cur ~mem:!n_mem ~compute:!n_comp
       ~ctrl:!n_ctrl ~load_trans:!ld_tr ~store_trans:!st_tr ~l1_hits:!l1h
-      ~l1_misses:!l1m ~l2_hits:!l2h ~l2_misses:!l2m ~dram_sectors:!dram;
+      ~l1_misses:!l1m ~l2_hits:!l2h ~l2_misses:!l2m ~dram_sectors:!dram
+      ~tlb_l1_hits:tlb.(0) ~tlb_l2_hits:tlb.(1) ~tlb_walks:tlb.(2)
+      ~tlb_walk_cycles_total:walk.(0);
     finish.(0)
   end

@@ -96,42 +96,17 @@ let copy t =
   add c t;
   c
 
-let count_classified t cls n =
-  match cls with
-  | `Mem -> t.mem_instrs <- t.mem_instrs + n
-  | `Compute -> t.compute_instrs <- t.compute_instrs + n
-  | `Ctrl -> t.ctrl_instrs <- t.ctrl_instrs + n
-
-let count_instr t instr =
-  count_classified t (Instr.class_of instr) (Instr.instruction_count instr)
-
-let count_load_transactions_idx t label_index n =
-  t.load_transactions <- t.load_transactions + n;
-  t.load_transactions_by_label.(label_index)
-  <- t.load_transactions_by_label.(label_index) + n
-
 let count_load_transactions t label n =
-  count_load_transactions_idx t (Label.to_index label) n
+  let i = Label.to_index label in
+  t.load_transactions <- t.load_transactions + n;
+  t.load_transactions_by_label.(i) <- t.load_transactions_by_label.(i) + n
 
 let count_store_transactions t n = t.store_transactions <- t.store_transactions + n
 
 let count_l1 t ~hit =
   if hit then t.l1_hits <- t.l1_hits + 1 else t.l1_misses <- t.l1_misses + 1
 
-let count_l2 t ~hit =
-  if hit then t.l2_hits <- t.l2_hits + 1 else t.l2_misses <- t.l2_misses + 1
-
-let count_dram_sector t = t.dram_sectors <- t.dram_sectors + 1
-
 let count_trace_dropped t n = t.trace_dropped <- t.trace_dropped + n
-
-let count_tlb_l1_hit t = t.tlb_l1_hits <- t.tlb_l1_hits + 1
-
-let count_tlb_l2_hit t = t.tlb_l2_hits <- t.tlb_l2_hits + 1
-
-let count_tlb_walk t cycles =
-  t.tlb_walks <- t.tlb_walks + 1;
-  t.tlb_walk_cycles <- t.tlb_walk_cycles +. cycles
 
 let count_san_violations t deltas =
   if Array.length deltas <> Repro_san.Violation.kind_count then
@@ -153,11 +128,13 @@ let stall_accumulator t = t.stalls
 
 let load_transactions_accumulator t = t.load_transactions_by_label
 
-(* One flush per replayed launch from the fused loop's local counters;
-   integer adds, so the totals are exactly what per-instruction counting
-   would have produced. *)
+(* One flush per replayed launch (or sampling window) from the replay
+   loop's local counters; integer adds, so the totals are exactly what
+   per-instruction counting would have produced. The walk-cycle total
+   was accumulated per walk, in order, from this row's own value. *)
 let bump_replay_counters t ~mem ~compute ~ctrl ~load_trans ~store_trans
-    ~l1_hits ~l1_misses ~l2_hits ~l2_misses ~dram_sectors =
+    ~l1_hits ~l1_misses ~l2_hits ~l2_misses ~dram_sectors ~tlb_l1_hits
+    ~tlb_l2_hits ~tlb_walks ~tlb_walk_cycles_total =
   t.mem_instrs <- t.mem_instrs + mem;
   t.compute_instrs <- t.compute_instrs + compute;
   t.ctrl_instrs <- t.ctrl_instrs + ctrl;
@@ -167,7 +144,11 @@ let bump_replay_counters t ~mem ~compute ~ctrl ~load_trans ~store_trans
   t.l1_misses <- t.l1_misses + l1_misses;
   t.l2_hits <- t.l2_hits + l2_hits;
   t.l2_misses <- t.l2_misses + l2_misses;
-  t.dram_sectors <- t.dram_sectors + dram_sectors
+  t.dram_sectors <- t.dram_sectors + dram_sectors;
+  t.tlb_l1_hits <- t.tlb_l1_hits + tlb_l1_hits;
+  t.tlb_l2_hits <- t.tlb_l2_hits + tlb_l2_hits;
+  t.tlb_walks <- t.tlb_walks + tlb_walks;
+  t.tlb_walk_cycles <- tlb_walk_cycles_total
 
 let add_cycles t c = t.cycles <- t.cycles +. c
 

@@ -18,39 +18,17 @@ val add : t -> t -> unit
 val copy : t -> t
 (** A detached snapshot (fresh arrays, same values). *)
 
-(** {2 Recording (used by the timing engine)} *)
-
-val count_instr : t -> Instr.t -> unit
-
-val count_classified : t -> [ `Mem | `Compute | `Ctrl ] -> int -> unit
-(** [count_classified t cls n] records [n] dynamic instructions of class
-    [cls] — the pre-classified form {!count_instr} reduces to; the SoA
-    replay loop calls it with the trace's opcode already decoded. *)
+(** {2 Recording} *)
 
 val count_load_transactions : t -> Label.t -> int -> unit
-
-val count_load_transactions_idx : t -> int -> int -> unit
-(** {!count_load_transactions} by [Label.to_index] — the replay-path
-    variant that avoids materializing a [Label.t]. *)
 
 val count_store_transactions : t -> int -> unit
 
 val count_l1 : t -> hit:bool -> unit
 
-val count_l2 : t -> hit:bool -> unit
-
-val count_dram_sector : t -> unit
-
 val count_trace_dropped : t -> int -> unit
 (** Accumulate telemetry ring-buffer drops (events lost to the
     drop-oldest spill policy; see {!Telemetry.Ring}). *)
-
-val count_tlb_l1_hit : t -> unit
-
-val count_tlb_l2_hit : t -> unit
-
-val count_tlb_walk : t -> float -> unit
-(** One page walk plus the cycles it was charged. *)
 
 val attribute_stall : t -> Label.t -> float -> unit
 
@@ -69,10 +47,14 @@ val bump_replay_counters :
   mem:int -> compute:int -> ctrl:int ->
   load_trans:int -> store_trans:int ->
   l1_hits:int -> l1_misses:int -> l2_hits:int -> l2_misses:int ->
-  dram_sectors:int -> unit
-(** Flush the fused replay loop's locally-accumulated integer counters in
-    one call; exactly equivalent to the per-instruction [count_*]
-    sequence it replaces. *)
+  dram_sectors:int ->
+  tlb_l1_hits:int -> tlb_l2_hits:int -> tlb_walks:int ->
+  tlb_walk_cycles_total:float -> unit
+(** Flush the replay loop's locally-accumulated integer counters in one
+    call; exactly equivalent to the per-instruction [count_*] sequence it
+    replaces. [tlb_walk_cycles_total] replaces the walk-cycle counter: the
+    loop adds each walk's cycles, in order, to a copy of this row's
+    {!tlb_walk_cycles}, so the float sum is the per-walk one. *)
 
 val add_cycles : t -> float -> unit
 

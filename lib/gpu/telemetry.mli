@@ -22,8 +22,8 @@
       metric). [Repro_obs.Tracer] renders a {!dump} of it as Chrome
       trace-event JSON.
 
-    This module is deliberately engine-agnostic: [Sm]/[Mem_path]/
-    [Device] hold the hooks; nothing here calls back into them. *)
+    This module is deliberately engine-agnostic: [Sm] and [Device] hold
+    the hooks; nothing here calls back into them. *)
 
 type config = {
   window : int option;

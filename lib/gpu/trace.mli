@@ -7,12 +7,7 @@
     through the [emit_*] functions (amortized-doubling growth, tag bits
     stripped as addresses enter the arena); the timing phase replays by
     index through the int-returning accessors without touching the minor
-    heap.
-
-    {!get}/{!iter} provide a compatibility view that materializes boxed
-    {!Instr.t} records for consumers that want pattern matching
-    ([Instr.class_of]-style inspection, tests); they allocate and are not
-    for the replay path. *)
+    heap. *)
 
 type t
 
@@ -98,20 +93,6 @@ val arena : t -> int array
 (** The current address arena. Emission may replace the array (growth), so
     re-fetch after any [emit_*]; during replay the trace is frozen and the
     array is stable. *)
-
-(** {1 Compatibility view} *)
-
-val emit : t -> Instr.t -> unit
-(** Decompose a boxed instruction into the SoA arrays (the boxed form of
-    the [emit_*] calls; load/store payloads are canonicalized like
-    {!emit_load}). *)
-
-val get : t -> int -> Instr.t
-(** Materialize record [i] as a boxed {!Instr.t} (allocates; memory
-    payloads are fresh copies of the arena slice). *)
-
-val iter : (Instr.t -> unit) -> t -> unit
-(** Materializing iteration over {!get}. *)
 
 (** {1 Interning}
 

@@ -79,7 +79,7 @@ let test_object_model_strip_charge () =
     let ctx = Warp_ctx.create ~heap ~warp_id:0 ~lanes:[| 0 |] () in
     ignore (Object_model.field_load om ctx ~objs:[| 4096 |] ~field:0);
     let strips = ref 0 in
-    Trace.iter
+    Trace_compat.iter
       (fun i -> if i.Instr.label = Label.Tp_strip then incr strips)
       (Warp_ctx.trace ctx);
     !strips
@@ -573,7 +573,7 @@ let test_range_table_lookup_emit () =
     [| expect_t0; expect_t1; expect_t0 |] impls;
   (* The emitted walk must be labelled as COAL lookup plus one vFunc load. *)
   let coal_loads = ref 0 and vfunc_loads = ref 0 in
-  Trace.iter
+  Trace_compat.iter
     (fun i ->
       match (i.Instr.label, i.Instr.kind) with
       | Label.Coal_lookup, Instr.Load _ -> incr coal_loads
@@ -671,14 +671,14 @@ let dispatch_trace technique =
 
 let labels_of trace =
   let labels = ref [] in
-  Trace.iter (fun i -> labels := i.Instr.label :: !labels) trace;
+  Trace_compat.iter (fun i -> labels := i.Instr.label :: !labels) trace;
   List.rev !labels
 
 let has_label trace l = List.mem l (labels_of trace)
 
 let count_kind trace pred =
   let n = ref 0 in
-  Trace.iter (fun i -> if pred i then incr n) trace;
+  Trace_compat.iter (fun i -> if pred i then incr n) trace;
   !n
 
 let test_dispatch_cuda_sequence () =

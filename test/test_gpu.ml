@@ -148,56 +148,70 @@ let prop_cache_hits_bounded =
       in
       hits < List.length sectors (* the first access is always a miss *))
 
-(* --- mem path --------------------------------------------------------- *)
+(* --- mem path ------------------------------------------------------- *)
 
 let cfg = Config.default
 
+(* One warp per address list, each a chain of blocking single-address
+   loads; warp [i] runs on SM [i]. *)
+let load_warps warps =
+  Array.of_list
+    (List.map
+       (fun loads ->
+         let t = Trace.create () in
+         List.iter
+           (fun addrs ->
+             ignore (Trace.emit_load t ~label:Label.Body ~blocking:true addrs))
+           loads;
+         t)
+       warps)
+
+let replay ?(mp = Mem_path.create cfg) ?(stats = Stats.create ()) warps =
+  Sm.run_fused cfg mp ~stats ~traces:(load_warps warps)
+
 let test_mem_path_latencies () =
-  let mp = Mem_path.create cfg in
+  let t_miss = replay [ [ [| 0 |] ] ] in
   let stats = Stats.create () in
-  let t_miss = Mem_path.load mp ~stats ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |] in
-  let t_hit = Mem_path.load mp ~stats ~sm:0 ~start:t_miss ~label:Label.Body ~addrs:[| 0 |] in
+  let t_both = replay ~stats [ [ [| 0 |]; [| 0 |] ] ] in
   check Alcotest.bool "miss goes to DRAM" true
     (t_miss >= float_of_int (cfg.Config.l1_latency + cfg.Config.l2_latency + cfg.Config.dram_latency));
   check Alcotest.bool "hit is L1-latency fast" true
-    (t_hit -. t_miss < float_of_int (cfg.Config.l1_latency + 5));
+    (t_both -. t_miss < float_of_int (cfg.Config.l1_latency + 5));
   check Alcotest.int "one transaction each" 2 (Stats.load_transactions stats);
   check Alcotest.int "one l1 hit" 1 (Stats.l1_accesses stats - 1);
   check Alcotest.bool "l1 rate 50%" true (abs_float (Stats.l1_hit_rate stats -. 0.5) < 1e-9)
 
 let test_mem_path_l1_private_per_sm () =
   let mp = Mem_path.create cfg in
-  let stats = Stats.create () in
-  ignore (Mem_path.load mp ~stats ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |]);
+  ignore (replay ~mp [ [ [| 0 |] ] ]);
   check Alcotest.bool "sm0 has it" true (Mem_path.l1_probe mp ~sm:0 ~sector:0);
   check Alcotest.bool "sm1 does not" false (Mem_path.l1_probe mp ~sm:1 ~sector:0)
 
 let test_mem_path_bandwidth_serializes () =
-  let mp = Mem_path.create cfg in
-  let stats = Stats.create () in
   let diverged = Array.init 32 (fun i -> i * 4096) in
-  let t1 = Mem_path.load mp ~stats ~sm:0 ~start:0. ~label:Label.Body ~addrs:diverged in
   let diverged2 = Array.init 32 (fun i -> (i + 64) * 4096) in
-  let t2 = Mem_path.load mp ~stats ~sm:1 ~start:0. ~label:Label.Body ~addrs:diverged2 in
-  (* Both warps miss to DRAM; shared DRAM bandwidth must push the second
-     warp's completion past the first's. *)
+  let t1 = replay [ [ diverged ] ] in
+  let stats = Stats.create () in
+  let t2 = replay ~stats [ [ diverged ]; [ diverged2 ] ] in
+  (* Both warps issue at cycle 0 on different SMs and miss to DRAM;
+     shared DRAM bandwidth must push the second warp's completion past
+     the first's. *)
   check Alcotest.bool "shared dram contention" true (t2 > t1);
   check Alcotest.int "dram sectors (64B fills)" 128 (Stats.dram_sectors stats)
 
 let test_mem_path_begin_kernel_flushes_l1_not_l2 () =
   let mp = Mem_path.create cfg in
-  let stats = Stats.create () in
-  ignore (Mem_path.load mp ~stats ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |]);
+  ignore (replay ~mp [ [ [| 0 |] ] ]);
   Mem_path.begin_kernel mp;
   check Alcotest.bool "l1 flushed" false (Mem_path.l1_probe mp ~sm:0 ~sector:0);
   (* The 64 B DRAM fill installed the pair sector in L2 as well. *)
   let stats2 = Stats.create () in
-  ignore (Mem_path.load mp ~stats:stats2 ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |]);
+  ignore (replay ~mp ~stats:stats2 [ [ [| 0 |] ] ]);
   (* L2 still warm: the reload must be an L2 hit, not a DRAM access. *)
   check Alcotest.int "no new dram sector" 0 (Stats.dram_sectors stats2);
   Mem_path.reset mp;
   let stats3 = Stats.create () in
-  ignore (Mem_path.load mp ~stats:stats3 ~sm:0 ~start:0. ~label:Label.Body ~addrs:[| 0 |]);
+  ignore (replay ~mp ~stats:stats3 [ [ [| 0 |] ] ]);
   check Alcotest.int "reset clears l2 too" 2 (Stats.dram_sectors stats3)
 
 (* --- warp ctx / device ------------------------------------------------ *)
@@ -364,49 +378,20 @@ let test_trace_soa_roundtrip () =
   check Alcotest.int "repeat of compute" 3 (Trace.repeat t 1);
   check Alcotest.int "instruction total" 4 (Trace.instruction_total t);
   (* The compatibility view materializes equivalent Instr.t records. *)
-  (match (Trace.get t 0).Instr.kind with
+  (match (Trace_compat.get t 0).Instr.kind with
    | Instr.Load a -> check (Alcotest.array Alcotest.int) "compat payload" [| 64; 128 |] a
    | _ -> Alcotest.fail "expected a load");
   check Alcotest.int "compat compute count" 3
-    (Instr.instruction_count (Trace.get t 1))
+    (Instr.instruction_count (Trace_compat.get t 1))
 
 let test_trace_compat_emit () =
   let t = Trace.create () in
-  Trace.emit t (Instr.load ~label:Label.Vtable_load [| 256 |]);
-  Trace.emit t (Instr.ctrl ~n:2 ~label:Label.Body 7);
+  Trace_compat.emit t (Instr.load ~label:Label.Vtable_load [| 256 |]);
+  Trace_compat.emit t (Instr.ctrl ~n:2 ~label:Label.Body 7);
   let got = ref [] in
-  Trace.iter (fun i -> got := Instr.class_of i :: !got) t;
+  Trace_compat.iter (fun i -> got := Instr.class_of i :: !got) t;
   check Alcotest.int "length" 2 (Trace.length t);
   check Alcotest.bool "classes preserved" true (List.rev !got = [ `Mem; `Ctrl ])
-
-(* The event heap must implement exactly the ordering contract of
-   Repro_util.Heap — (key, insertion sequence) lexicographic — because
-   Sm.run's replay schedule, and therefore every figure, depends on the
-   FIFO tie-break. Keys are drawn from a tiny set to force ties. *)
-let prop_event_heap_matches_util_heap =
-  QCheck.Test.make ~name:"event heap ordering matches util heap" ~count:300
-    QCheck.(list (int_bound 3))
-    (fun keys ->
-      let eh = Repro_gpu.Event_heap.create () in
-      let kc = Repro_gpu.Event_heap.key_cell eh in
-      let uh = Repro_util.Heap.create () in
-      List.iteri
-        (fun i k ->
-          let key = float_of_int k in
-          kc.(0) <- key;
-          Repro_gpu.Event_heap.push eh i;
-          Repro_util.Heap.push uh ~key i)
-        keys;
-      let rec drain acc =
-        let v = Repro_gpu.Event_heap.pop eh in
-        if v < 0 then List.rev acc else drain ((kc.(0), v) :: acc)
-      in
-      let rec drain_u acc =
-        match Repro_util.Heap.pop uh with
-        | None -> List.rev acc
-        | Some (k, v) -> drain_u ((k, v) :: acc)
-      in
-      drain [] = drain_u [])
 
 (* --- zero-allocation replay ------------------------------------------- *)
 
@@ -433,37 +418,75 @@ let canned_traces ~n_warps ~n_instrs =
       done;
       Warp_ctx.trace ctx)
 
-let replay_minor_words traces =
-  let mp = Mem_path.create cfg in
-  let stats = Stats.create () in
-  (* One warm replay so code paths and growable state are initialized. *)
-  ignore (Sm.run cfg mp ~stats ~traces);
-  let w0 = Gc.minor_words () in
-  ignore (Sm.run cfg mp ~stats ~traces);
-  Gc.minor_words () -. w0
+(* A flat 4 KiB page table over the first 32 MiB: every address the
+   canned and random programs touch is mapped. *)
+let test_vm () =
+  let table =
+    Repro_vm.Page_table.build ~policy:Repro_vm.Policy.Flat_4k
+      ~arenas:[ (0, 32 * 1024 * 1024) ] ~promoted:[] ()
+  in
+  Repro_vm.Vm.create ~n_sms:cfg.Config.n_sms ~table ()
 
-let test_replay_zero_allocation () =
-  (* The timing phase must allocate a per-run constant (activation lists,
-     event-heap setup) and nothing per instruction: replaying 10x the
-     instructions may not allocate more than a small fixed slack over the
-     short trace. This is the invariant DESIGN.md documents; any boxed
-     float, closure or record sneaking into Sm.run/Mem_path/Coalesce/
-     Cache breaks it loudly. *)
-  let short = replay_minor_words (canned_traces ~n_warps:8 ~n_instrs:300) in
-  let long = replay_minor_words (canned_traces ~n_warps:8 ~n_instrs:3000) in
+(* Ring-only telemetry: windowed sampling owns one Stats row per window
+   (a deliberate per-window allocation), so the per-instruction
+   invariant is pinned on the event tracer alone. *)
+let ring_telemetry () =
+  Telemetry.create { Telemetry.window = None; trace = true; trace_capacity = 4096 }
+
+(* Minor words of one replay after a warm-up replay on the same path.
+   With a translation model the path (and its TLBs) is reset before the
+   measured replay, so it walks and misses rather than replaying warm. *)
+let replay_minor_words ?telemetry ?vm traces =
+  let mp = Mem_path.create cfg in
+  Mem_path.set_vm mp vm;
+  let stats = Stats.create () in
+  ignore (Sm.run_fused ?telemetry cfg mp ~stats ~traces);
+  if vm <> None then Mem_path.reset mp;
+  let walks = Stats.tlb_walks stats in
+  let w0 = Gc.minor_words () in
+  ignore (Sm.run_fused ?telemetry cfg mp ~stats ~traces);
+  let words = Gc.minor_words () -. w0 in
+  if vm <> None then
+    check Alcotest.bool "measured replay walks" true
+      (Stats.tlb_walks stats > walks);
+  words
+
+(* The timing phase must allocate a per-run constant (hoisted columns,
+   heap setup) and nothing per instruction: replaying 10x the
+   instructions may not allocate more than a small fixed slack over the
+   short trace. This is the invariant DESIGN.md documents; any boxed
+   float, closure or record sneaking into Sm/Coalesce/Cache breaks it
+   loudly. *)
+let check_no_per_instr_alloc ?telemetry ?vm what =
+  let words n_instrs =
+    replay_minor_words ?telemetry ?vm (canned_traces ~n_warps:8 ~n_instrs)
+  in
+  let short = words 300 and long = words 3000 in
   check Alcotest.bool
-    (Printf.sprintf
-       "allocation independent of trace length (short=%.0f long=%.0f)" short
-       long)
+    (Printf.sprintf "%s allocation independent of trace length (short=%.0f long=%.0f)"
+       what short long)
     true
     (long <= short +. 256.)
 
-(* --- fused replay twin ------------------------------------------------ *)
+let test_replay_zero_allocation () = check_no_per_instr_alloc "replay"
+
+(* Recording an event is six array stores plus a bump — enabling the
+   tracer must not cost an allocation per instruction either, even when
+   the ring wraps and drops. *)
+let test_replay_zero_allocation_traced () =
+  check_no_per_instr_alloc ~telemetry:(ring_telemetry ()) "tracer-on"
+
+(* Translation adds a TLB lookup per sector, walk-cycle accumulation and
+   TLB-walk ring events; none of it may allocate. *)
+let test_replay_zero_allocation_translated () =
+  check_no_per_instr_alloc ~telemetry:(ring_telemetry ()) ~vm:(test_vm ())
+    "translated tracer-on"
+
+(* --- replay identity ---------------------------------------------------- *)
 
 (* Random warp programs over the full instruction vocabulary — converged
    and per-lane-diverged loads, stores, compute bursts, ctrl, indirect
-   calls — across mixed warp widths (full, partial, single-lane). The
-   space [Sm.run_fused] must replay byte-identically to [Sm.run]. *)
+   calls — across mixed warp widths (full, partial, single-lane). *)
 let traces_of_ops ops =
   let heap = Page_store.create () in
   let widths = [| 32; 17; 32; 5 |] in
@@ -495,73 +518,150 @@ let traces_of_ops ops =
         ops;
       Warp_ctx.trace ctx)
 
-let prop_fused_replay_identical =
-  QCheck.Test.make
-    ~name:"run_fused is byte-identical to run (cycles and every counter)"
-    ~count:60
-    QCheck.(
-      list_of_size (Gen.int_range 1 80) (pair (int_bound 5) (int_bound 0xFFFF)))
-    (fun ops ->
-      let traces = traces_of_ops ops in
-      let s1 = Stats.create () and s2 = Stats.create () in
-      let c1 = Sm.run cfg (Mem_path.create cfg) ~stats:s1 ~traces in
-      let c2 = Sm.run_fused cfg (Mem_path.create cfg) ~stats:s2 ~traces in
-      c1 = c2 && Stats.to_raw s1 = Stats.to_raw s2)
+(* Program [k] of the frozen set: a fixed-seed draw of 1..80 ops. *)
+let frozen_program k =
+  let rng = Repro_util.Rng.create ~seed:(7919 * (k + 1)) in
+  let n = 1 + Repro_util.Rng.int rng 80 in
+  List.init n (fun _ ->
+      let op = Repro_util.Rng.int rng 6 in
+      (op, Repro_util.Rng.int rng 0x10000))
 
-let replay_minor_words_fused traces =
-  let mp = Mem_path.create cfg in
-  let stats = Stats.create () in
-  ignore (Sm.run_fused cfg mp ~stats ~traces);
-  let w0 = Gc.minor_words () in
-  ignore (Sm.run_fused cfg mp ~stats ~traces);
-  Gc.minor_words () -. w0
+let md5 v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
-let test_fused_replay_zero_allocation () =
-  (* The fused loop must hold the same invariant as [Sm.run]: per-launch
-     setup may allocate, per-instruction work may not. *)
-  let short = replay_minor_words_fused (canned_traces ~n_warps:8 ~n_instrs:300) in
-  let long = replay_minor_words_fused (canned_traces ~n_warps:8 ~n_instrs:3000) in
-  check Alcotest.bool
-    (Printf.sprintf
-       "fused allocation independent of trace length (short=%.0f long=%.0f)"
-       short long)
-    true
-    (long <= short +. 256.)
-
-let replay_minor_words_traced traces =
-  (* Ring-only config: windowed sampling owns one Stats row per window
-     (a deliberate per-window allocation), so the per-instruction
-     invariant is pinned on the event tracer alone. *)
+(* One windowed, ring-recording replay bracketed as [Device.launch]
+   brackets it: (cycles, window rows, the stats sink, ring events, drops). *)
+let traced_replay ?vm ~window ~capacity traces =
   let tel =
     Telemetry.create
-      { Telemetry.window = None; trace = true; trace_capacity = 4096 }
+      { Telemetry.window = Some window; trace = true; trace_capacity = capacity }
   in
   let ring = Option.get tel.Telemetry.ring in
+  let sampler = Option.get tel.Telemetry.sampler in
   let mp = Mem_path.create cfg in
-  Mem_path.set_ring mp (Some ring);
+  Mem_path.set_vm mp vm;
   let stats = Stats.create () in
   Telemetry.Ring.begin_launch ring ~base:0.;
-  ignore (Sm.run ~telemetry:tel cfg mp ~stats ~traces);
-  let w0 = Gc.minor_words () in
-  ignore (Sm.run ~telemetry:tel cfg mp ~stats ~traces);
-  Gc.minor_words () -. w0
+  Telemetry.Sampler.begin_launch sampler;
+  let cycles = Sm.run_fused ~telemetry:tel cfg mp ~stats ~traces in
+  Telemetry.Sampler.finish_launch sampler ~cycles;
+  let rows = Telemetry.Sampler.take sampler in
+  (cycles, rows, stats, Telemetry.Ring.to_events ring,
+   Telemetry.Ring.all_dropped ring)
 
-let test_replay_zero_allocation_traced () =
-  (* Recording an event is six array stores plus a bump — enabling the
-     tracer must not cost an allocation per instruction either, even
-     when the ring wraps and drops. *)
-  let short =
-    replay_minor_words_traced (canned_traces ~n_warps:8 ~n_instrs:300)
-  in
-  let long =
-    replay_minor_words_traced (canned_traces ~n_warps:8 ~n_instrs:3000)
-  in
-  check Alcotest.bool
-    (Printf.sprintf
-       "tracer-on allocation independent of trace length (short=%.0f long=%.0f)"
-       short long)
-    true
-    (long <= short +. 256.)
+(* Digests of the frozen programs, produced by the deleted reference
+   replay loop (a separate scheduler with its own flat event heap and
+   memory-path load/store walkers): the MD5 of (cycles, [Stats.to_raw]) of a plain replay, and of (cycles,
+   window rows, stats sink, ring events, drops) of a replay with a
+   64-cycle window and a 4096-event ring (small enough to wrap). *)
+let frozen_program_digests =
+  [|
+    ("2e2abb4e4ea2cf37a520e3600ffb56ae", "e75b889b3eb3cefc70be526476d1af89");
+    ("8fd294d3d979f289294ac1ed69ac9185", "180f510b88cec1e7b25a7665182feefc");
+    ("b42952ce259d77e21e79d9b514c975d8", "b12239d7e231ced0345c2d8654037249");
+    ("e3ba158e5e441a604848526a27ade089", "fc314bf4fb7e6731c5b0728569cb6644");
+    ("367e2c630c7b59fc4108712bc1e2949c", "305b20621c0221d471908a6a3a6ced62");
+    ("398dafa76038b530b29a132261d1e377", "a7cf36c804444827b96e96dbfb134626");
+    ("09b5205f8e88a36b90f846feb47438bc", "d4d53ca7fc2f339c18644a4ad41470ac");
+    ("b8a4f66e3df849c013a9ef4d98f0f9b8", "b0e6966a9526208920c8eeaf9eaa81bf");
+    ("9094ee39aadcf01c9a1145bee9d51a8a", "9644a86dc0dacc09fd80884ecabbddc5");
+    ("716fbaf61af7fce2c9b75a2f797243c4", "c0fa2ff6fb75a959a6b8ae05ca386d49");
+    ("a39e9ad7a045ef0366549443921b740d", "b0a5e2cfae63d699129d7e646e2dcae9");
+    ("dfc6b539a3cc6b68289011c921cda5fa", "6f71e4acbbb63a041aae813ee4aad527");
+    ("5d14ccf9d070f706cc740c49a166c932", "b6c01d6facef911796dd87bf8f149676");
+    ("c344c7d0dca1e248b31dfc1474fcb1ee", "4df9e718576c076692a5f8a89a076c51");
+    ("bb7b969b3bcd06e2b34e2bad6aec472b", "329d33e9a3c4843b81a22d2e014a916b");
+    ("2c34ec23d6ccffd623f2a95626440773", "04d74274e3866dc6a7352f3bdd7fb9e5");
+    ("43fcf2c7392fd8e5e61723640216ae05", "02a122a04a9ace2c08647ce5d1782a05");
+    ("51a514f943f1f0d57d851ac1c4c74f4c", "b9f6789391e986f9267017a136d6cf56");
+    ("929d222efbe5484a209908b65109808c", "efdd8e0dcf873da7efac6abf525646a7");
+    ("0c0d02f6e3722e9806c82224fbbd6560", "bc849617ffd1ec40dbace2a549b71047");
+    ("ad806a7e35588db168bc365536d200be", "a9b5910d1e6028931bcb0157ea5780d8");
+    ("40bae6cee834ee0978fe3a7727c5f97b", "cdf79d69dd6d6ff8d419bc20b9aa4d77");
+    ("9c821b3a3ad2c20de93c14b3fe532f9d", "624f563889872da5f3236b83f0be7060");
+    ("7b02cc489a3cfdaa5b7a96e0088e6eaf", "d661565dbeacb9e0369f7c4bbafba419");
+    ("e3498d2e9b4f5f936ff7912b61df4171", "757a883e35bc87caf613276284e885a7");
+    ("f6fb29d79b5072af5fa45829c1d017cf", "959dee97c6762e2c6601ca67995f461a");
+    ("62388333a17a807e92d6c33c5afcc31f", "4075e0de33ec9bf08c988eb4b8acc85a");
+    ("a69e98db556c47ee4da5ee123ab1634c", "c010f7d765ae02029bd356efdaa6fb5d");
+    ("efcb214c1eef5be6a20076933fee4028", "edad4440eaa4aeff8600a8a2cad794e2");
+    ("6c1bbcfe39507841ec0eee75a0a5bae6", "a84a6cab633266b59a418523e613dbac");
+    ("0a9f64d873de80fabd3de18831b11206", "bd529602839d49faaca08d0dab698cb5");
+    ("df00ec1fb6515bfba7542bdcef9dff7e", "1562fde6cc34c2ae7af38956579009af");
+    ("246e5dfd03d6a447d9acb167533943c5", "0f9245d7fa191cf368adeb9a21edddbd");
+    ("22d57df8837676d38d59502dda1a832c", "37227f2e9a53a6c06f95f5e6197cb813");
+    ("643f11eeefb6d4c839f622d6f591391d", "aa134f5b26d576746ee34364f809d0a0");
+    ("e008d7f3b27cef15675e5e1b2b1a22d4", "eb5904fbbff347c88730dd5be41ca75e");
+    ("d077d497633109550d32db3c26e4f793", "84f43d49e32dfbb4323dfd71f7aa58f1");
+    ("4ad305965483f41fc8f69b0f5afa7fc6", "49c7916cdc92c80d1894eed4d52b1cd1");
+    ("079d864d35f35c7b3575fdd25768cb3a", "d6289e16be1b3e8c6972d1b79c68f3bc");
+    ("702329944df318905f8c1f2928bc2a10", "d0e5ec3021d83c6286359d9f94cbcf2e");
+    ("99c4166fe83893cd53420c6a88903875", "e8f7409f5289e09dda563b7a9a206952");
+    ("f7e291419a1787483ddef9735bd5a9fb", "b76b16eeed49113adb32d4f73607d8e6");
+    ("8ffb04787f98751b814088f628d7ebed", "4d1ebf9445035e81dfc042e1cbce5787");
+    ("a2ecdd5e2552630bc561fbd78864af94", "c3f84a16ad88ef18703ca51e76b8bdff");
+    ("32031ef9eb7df84016a0f9003cc823c0", "fdf669b7b648e3718ded5e48752bf5fa");
+    ("b8487057ea4c8c3ab1e7590f8422ad09", "95991dea4762e0725fa98530d50ab1ce");
+    ("f2b6754c5982baff04bffd8904284702", "47513f5229469dbc9aac0de1db7e1ebd");
+    ("2af35bf2b3a08f3af313924e4f35ff7b", "b959f5ed5c34fb0ec7d1d97883c457cc");
+    ("94d4473eae9f64f83db0f43c460af425", "4981423cf4c24d269132ce497ff6b040");
+    ("f627633c5c3e03455ced7c93ef7f2a9c", "e0e3b927158dee35df8862cc11051ec6");
+    ("5bc27780ccf9cc96dec8c4ffca61ec79", "7c57cf8ff66b679aa8319df530ce27b3");
+    ("c2df1b421f3739e0be2286ccf82a13c7", "b1bffe11443908b4d5e0ea0c746c3b99");
+    ("b83af07c16985d7d3a59ba7d0e843e71", "5f95385ec4ecc4408256fe6a7329d942");
+    ("7bcdb39443b73e2061ec8e919f75eb31", "766132b9fa15bfbb1bde74a6ff4d137f");
+    ("8c4eea8304b25cf417294641ca49bf9d", "8c90e6d51a476b6e0fd10502b4dd83a8");
+    ("d252efa604c180a04800c71a5dbe5036", "7d651ee4c1e6099b7c52eba68b56bbf3");
+    ("c3e5f5cf3f551a442c6c3328eaa87add", "c3304504eb761bddb014cc438cb3e1f7");
+    ("e84f7ad5308d91ffda5e826f3f7e3059", "ddbb5b35c98ae7edfed4c74cfae60353");
+    ("d575a64e19c9241f478192ac978ff7e2", "a27679f2b6af4eea8e164d9a57478555");
+    ("6a0e36ca7148e03e6c77d89cbb8759a9", "49fce1a4a4889b36c39a67c42b861ff8");
+  |]
+
+let test_frozen_program_digests () =
+  Array.iteri
+    (fun k (want_plain, want_traced) ->
+      let traces = traces_of_ops (frozen_program k) in
+      let stats = Stats.create () in
+      let cycles = Sm.run_fused cfg (Mem_path.create cfg) ~stats ~traces in
+      check Alcotest.string (Printf.sprintf "program %d plain" k) want_plain
+        (md5 (cycles, Stats.to_raw stats));
+      let cycles, rows, stats, events, dropped =
+        traced_replay ~window:64 ~capacity:4096 traces
+      in
+      check Alcotest.string (Printf.sprintf "program %d traced" k) want_traced
+        (md5 (cycles, Array.map Stats.to_raw rows, Stats.to_raw stats, events,
+              dropped)))
+    frozen_program_digests
+
+(* Telemetry observes only: with a window and a ring attached (and a
+   ring small enough to drop), a replay has the same cycles and the same
+   integer counters — folded over its window rows — as a plain replay,
+   with or without translation. Float counters may differ only in the
+   association of the fold, and [trace_dropped] is the ring's own. *)
+let prop_telemetry_observation_only =
+  QCheck.Test.make ~name:"telemetry is observation-only (cycles, int counters)"
+    ~count:60
+    QCheck.(
+      triple bool (int_range 1 300)
+        (list_of_size (Gen.int_range 1 80) (pair (int_bound 5) (int_bound 0xFFFF))))
+    (fun (translated, window, ops) ->
+      let traces = traces_of_ops ops in
+      let vm = if translated then Some (test_vm ()) else None in
+      let mp = Mem_path.create cfg in
+      Mem_path.set_vm mp vm;
+      let plain = Stats.create () in
+      let c1 = Sm.run_fused cfg mp ~stats:plain ~traces in
+      let vm = if translated then Some (test_vm ()) else None in
+      let c2, rows, _, _, _ = traced_replay ?vm ~window ~capacity:512 traces in
+      let folded = Stats.create () in
+      Array.iter (fun row -> Stats.add folded row) rows;
+      let ints s =
+        { (Stats.to_raw s) with
+          Stats.cycles = 0.; trace_dropped = 0; tlb_walk_cycles = 0.;
+          stalls = [||] }
+      in
+      c1 = c2 && ints plain = ints folded)
 
 let test_ring_drop_oldest () =
   let r = Telemetry.Ring.create ~capacity:4 in
@@ -616,15 +716,16 @@ let suite =
     Alcotest.test_case "trace compat emit/iter" `Quick test_trace_compat_emit;
     Alcotest.test_case "replay allocates nothing per instruction" `Quick
       test_replay_zero_allocation;
-    Alcotest.test_case "fused replay allocates nothing per instruction" `Quick
-      test_fused_replay_zero_allocation;
     Alcotest.test_case "tracer-on replay allocates nothing per instruction"
       `Quick test_replay_zero_allocation_traced;
+    Alcotest.test_case "translated replay allocates nothing per instruction"
+      `Quick test_replay_zero_allocation_translated;
+    Alcotest.test_case "replay matches frozen random-program digests" `Quick
+      test_frozen_program_digests;
     Alcotest.test_case "ring drop-oldest spill" `Quick test_ring_drop_oldest;
     QCheck_alcotest.to_alcotest prop_coalesce_bounds;
     QCheck_alcotest.to_alcotest prop_coalesce_scratch_equiv;
     QCheck_alcotest.to_alcotest prop_coalesce_unsafe_equiv;
-    QCheck_alcotest.to_alcotest prop_fused_replay_identical;
-    QCheck_alcotest.to_alcotest prop_event_heap_matches_util_heap;
+    QCheck_alcotest.to_alcotest prop_telemetry_observation_only;
     QCheck_alcotest.to_alcotest prop_cache_hits_bounded;
   ]

@@ -43,11 +43,11 @@ let treacherous_workload =
 (* Every default `repro sweep` cell at scale 0.02: (workload, column,
    [Harness.digest]). The digests were produced by the retired
    per-lane emission engine (exact-width address arrays, a fresh trace
-   per warp, replay through [Sm.run]), and the interned engine matched
-   it on every cell, so this table pins today's single engine to that
-   reference. A change that moves any
-   counter, heap word or result fails here; a deliberate model change
-   regenerates the table and says why. *)
+   per warp, replay through the reference loop), and the interned engine
+   matched it on every cell, so this table pins today's single engine to
+   that reference. A change that moves any counter, heap word or result
+   fails here; a deliberate model change regenerates the table and says
+   why. *)
 let frozen_sweep_digests =
   [
     ("Dynasoar/TRAF", "CUDA", "2c3badd9e3a6885c71440aa4d9ff3bf9");
@@ -140,6 +140,303 @@ let test_frozen_sweep_digests () =
       check Alcotest.(pair string string) "cell order" (w, c) (w', c');
       check Alcotest.string (w ^ " " ^ c ^ " digest") want got)
     frozen_sweep_digests cells
+
+(* The same default sweep cells at scale 0.02 under each page-size
+   policy: (policy, workload, column, [Harness.digest]). Produced by the
+   deleted reference replay loop (with the memory-path load/store
+   walkers), which was the only loop that handled translation; this
+   table pins the one replay loop's translated timing to it. *)
+let frozen_translated_digests =
+  [
+    ("flat-4k", "Dynasoar/TRAF", "CUDA", "d2fbcc7842b02e02a54e5aa6ac1aa341");
+    ("flat-4k", "Dynasoar/TRAF", "CON", "1f3fd8df8e81d3dd2ef838926fc315dc");
+    ("flat-4k", "Dynasoar/TRAF", "SHARD", "8261d6297422751ba45c6c8931c2de50");
+    ("flat-4k", "Dynasoar/TRAF", "COAL", "b72f4a3400bca28ec7066c19423cd474");
+    ("flat-4k", "Dynasoar/TRAF", "TP", "c376a23b5fd7aab7ccef057b3fc22e7b");
+    ("flat-4k", "Dynasoar/TRAF", "DYNA", "ea89b858e58c6265f65fcea0eb001daf");
+    ("flat-4k", "Dynasoar/GOL", "CUDA", "78abf986bafb97ea616de82ef37242f7");
+    ("flat-4k", "Dynasoar/GOL", "CON", "5ac120e37af8de2fa25acd4a071b0f59");
+    ("flat-4k", "Dynasoar/GOL", "SHARD", "77ddde9070c7108a27c5d1546884c224");
+    ("flat-4k", "Dynasoar/GOL", "COAL", "9351622503fc82774a4fdf955a6ac430");
+    ("flat-4k", "Dynasoar/GOL", "TP", "09acfbfd6f1ac8591ad7e48074b217b2");
+    ("flat-4k", "Dynasoar/GOL", "DYNA", "e104906a18a80c46e9fd27b3278929df");
+    ("flat-4k", "Dynasoar/STUT", "CUDA", "a00b51ebc5344afade8a38775dbade37");
+    ("flat-4k", "Dynasoar/STUT", "CON", "1ad1c1416f867f6c4e22125873d2e8e3");
+    ("flat-4k", "Dynasoar/STUT", "SHARD", "72248efa050cc0d26937b329d8eb3384");
+    ("flat-4k", "Dynasoar/STUT", "COAL", "e14fccae8b7f8a92651d10a8df4b994b");
+    ("flat-4k", "Dynasoar/STUT", "TP", "75416dbe272880f53f6cf3fe3a00d161");
+    ("flat-4k", "Dynasoar/STUT", "DYNA", "f26211544689bad7da2d7f7ff1e89f8c");
+    ("flat-4k", "Dynasoar/GEN", "CUDA", "8753b8b9c31358925a9341964dec71bb");
+    ("flat-4k", "Dynasoar/GEN", "CON", "9fc79068c17dc71fb11d5915c50c229d");
+    ("flat-4k", "Dynasoar/GEN", "SHARD", "0765d1ef542496dd1878945eb98bf4e8");
+    ("flat-4k", "Dynasoar/GEN", "COAL", "028f80ccbcdb6ab19b31f764ced15ba8");
+    ("flat-4k", "Dynasoar/GEN", "TP", "0b5163fe24416a3cacf2fe9e9915f5dd");
+    ("flat-4k", "Dynasoar/GEN", "DYNA", "ad0fbbbc992cbc5fd54c8dd648fb161d");
+    ("flat-4k", "GraphChi-vE/BFS", "CUDA", "c4596364cba62b0554adabbc47431573");
+    ("flat-4k", "GraphChi-vE/BFS", "CON", "ebfcd447acb796c6bb84dd4e333feffd");
+    ("flat-4k", "GraphChi-vE/BFS", "SHARD", "cdc52c7de1000d0573e93b5cca574ecb");
+    ("flat-4k", "GraphChi-vE/BFS", "COAL", "c02dbefe78f11f90876ee564ec6239c6");
+    ("flat-4k", "GraphChi-vE/BFS", "TP", "c1a66d3823a5ba0756aaba3fe1196d32");
+    ("flat-4k", "GraphChi-vE/BFS", "DYNA", "92b1ff473f8587d9d230c61c23aeb1d2");
+    ("flat-4k", "GraphChi-vE/CC", "CUDA", "8393b2f8453579981f888900f87e6076");
+    ("flat-4k", "GraphChi-vE/CC", "CON", "c8b5e6e159c4c87b8d57fb813ed269a1");
+    ("flat-4k", "GraphChi-vE/CC", "SHARD", "2706cc9f639f8b201c111892942b59e1");
+    ("flat-4k", "GraphChi-vE/CC", "COAL", "e58f5c2b7352612ae70584f2570fa584");
+    ("flat-4k", "GraphChi-vE/CC", "TP", "a734e3be77cf34f511204befc892b9d9");
+    ("flat-4k", "GraphChi-vE/CC", "DYNA", "55b37714f4a38b25240ee43171a05309");
+    ("flat-4k", "GraphChi-vE/PR", "CUDA", "d1f4b0fbc74672e966d2cc8fc2a93b95");
+    ("flat-4k", "GraphChi-vE/PR", "CON", "3134d69cb9350ad77072b46422428aa9");
+    ("flat-4k", "GraphChi-vE/PR", "SHARD", "872d9708b7d2aa63ba0c31b39f301609");
+    ("flat-4k", "GraphChi-vE/PR", "COAL", "3226a4e398becdced0e8a31958fb8211");
+    ("flat-4k", "GraphChi-vE/PR", "TP", "57b1f31eb51fdb2fc93a460a647c6c3e");
+    ("flat-4k", "GraphChi-vE/PR", "DYNA", "5b80f4427223b3d4f2aec31cc726db59");
+    ("flat-4k", "GraphChi-vEN/BFS", "CUDA", "5c123824ba5e4a785d242c96ba6b0e47");
+    ("flat-4k", "GraphChi-vEN/BFS", "CON", "a6702df15bf19e7ed10ae61ca519d5d2");
+    ("flat-4k", "GraphChi-vEN/BFS", "SHARD", "f315da10575e79efc28537346a7af2b5");
+    ("flat-4k", "GraphChi-vEN/BFS", "COAL", "42350808b7a03c211de6e4f42ad09f7b");
+    ("flat-4k", "GraphChi-vEN/BFS", "TP", "6e77eefe2ad4281e1aa24a9ab000e5ca");
+    ("flat-4k", "GraphChi-vEN/BFS", "DYNA", "0f667752ccd2339ac1a0fe8848f6c127");
+    ("flat-4k", "GraphChi-vEN/CC", "CUDA", "eac9e778d27fb1d856638bb2431308e8");
+    ("flat-4k", "GraphChi-vEN/CC", "CON", "e4531dd1d0b63a0383ea2f92a0016df3");
+    ("flat-4k", "GraphChi-vEN/CC", "SHARD", "28b2ba515ecab8808618a5af61826bb1");
+    ("flat-4k", "GraphChi-vEN/CC", "COAL", "b31e2a17145ddfaa8857bb36438f80e6");
+    ("flat-4k", "GraphChi-vEN/CC", "TP", "a34e2be7c064d00d9adeb434468e1a36");
+    ("flat-4k", "GraphChi-vEN/CC", "DYNA", "f0d687b210814e2a024483ba6d8f4c25");
+    ("flat-4k", "GraphChi-vEN/PR", "CUDA", "895fc2c6686a5d6c5f6b63e6c7e13667");
+    ("flat-4k", "GraphChi-vEN/PR", "CON", "f59614d057f4d5122f8382366ef8d42e");
+    ("flat-4k", "GraphChi-vEN/PR", "SHARD", "f2b5834183b1b717a28779e7180c8eeb");
+    ("flat-4k", "GraphChi-vEN/PR", "COAL", "2d1059819409cd812d6541a391c3074f");
+    ("flat-4k", "GraphChi-vEN/PR", "TP", "0b145a9db7f1fa6e197967d3bd8d559d");
+    ("flat-4k", "GraphChi-vEN/PR", "DYNA", "7fa6c6d7b67f7cf445eba722b60638f9");
+    ("flat-4k", "RAY/RAY", "CUDA", "c55ff988708b00db81172299c3b965d7");
+    ("flat-4k", "RAY/RAY", "CON", "0ba6bc4250f7bade0b1d2e3887735026");
+    ("flat-4k", "RAY/RAY", "SHARD", "8fa2414b52e8d807c917a614e3f331fa");
+    ("flat-4k", "RAY/RAY", "COAL", "8fa2414b52e8d807c917a614e3f331fa");
+    ("flat-4k", "RAY/RAY", "TP", "efec75a87522fbbb3b6686f14a2cbe9d");
+    ("flat-4k", "RAY/RAY", "DYNA", "aaadde19caeb8ea018b46963a46b5aaf");
+    ("flat-2m", "Dynasoar/TRAF", "CUDA", "dbecbf2b1c6be13fd310f9607be4549c");
+    ("flat-2m", "Dynasoar/TRAF", "CON", "2fa99ca81febb65a3adb710fb444fa93");
+    ("flat-2m", "Dynasoar/TRAF", "SHARD", "6a092fa6856bc4bde6372ee6535cda2f");
+    ("flat-2m", "Dynasoar/TRAF", "COAL", "136f5684279f95726bfcc0d413a59d46");
+    ("flat-2m", "Dynasoar/TRAF", "TP", "b96847f7096f9c1c6f143e073ff99614");
+    ("flat-2m", "Dynasoar/TRAF", "DYNA", "bc94b04dbec35cc2538b84f56547e111");
+    ("flat-2m", "Dynasoar/GOL", "CUDA", "7d0e5953944d689c342a9bbfcd955845");
+    ("flat-2m", "Dynasoar/GOL", "CON", "690effada5fce2440dc370d61022515c");
+    ("flat-2m", "Dynasoar/GOL", "SHARD", "6afe0480f77145a249ade9d9f9dff038");
+    ("flat-2m", "Dynasoar/GOL", "COAL", "43700e68fe88ec96b8009b9be91a0f35");
+    ("flat-2m", "Dynasoar/GOL", "TP", "33c3b97a3c157f23089b30aad882ebef");
+    ("flat-2m", "Dynasoar/GOL", "DYNA", "913f603a39762085f56b20863d7ddcdb");
+    ("flat-2m", "Dynasoar/STUT", "CUDA", "3d4570e02ad363b387bae2d670fe575e");
+    ("flat-2m", "Dynasoar/STUT", "CON", "69054f37726f456416ce567ea63c2c6b");
+    ("flat-2m", "Dynasoar/STUT", "SHARD", "e53a1a35239a0bd580722f94e6113ab2");
+    ("flat-2m", "Dynasoar/STUT", "COAL", "1b0c4b86f000d2ff952ddabfec9072d7");
+    ("flat-2m", "Dynasoar/STUT", "TP", "ada272eceba19cde980b5f150cefc4cc");
+    ("flat-2m", "Dynasoar/STUT", "DYNA", "18be8d242efd7a10ae9a21d0415a91dc");
+    ("flat-2m", "Dynasoar/GEN", "CUDA", "76c3589b1d975ac040375700b5535715");
+    ("flat-2m", "Dynasoar/GEN", "CON", "d4c929ee94a4d997ac28d776ad553afe");
+    ("flat-2m", "Dynasoar/GEN", "SHARD", "7edbb29bcbf1ef8099e4c7b16139f6c1");
+    ("flat-2m", "Dynasoar/GEN", "COAL", "a80c85a33827c59a5d3e3221dd321be4");
+    ("flat-2m", "Dynasoar/GEN", "TP", "8d7e9a18bedaa133f580742796824bf4");
+    ("flat-2m", "Dynasoar/GEN", "DYNA", "abb7a0b90fbc351a13b4c316d0e440ea");
+    ("flat-2m", "GraphChi-vE/BFS", "CUDA", "c951bf42dfe5cae0f15b0d6ed304c8f4");
+    ("flat-2m", "GraphChi-vE/BFS", "CON", "1354494f8141691a479ccc509437677f");
+    ("flat-2m", "GraphChi-vE/BFS", "SHARD", "8a6e4fc4a28e5296864263ea2f25f841");
+    ("flat-2m", "GraphChi-vE/BFS", "COAL", "27c3fbc039016910176c1644498aad3c");
+    ("flat-2m", "GraphChi-vE/BFS", "TP", "3c11b9b41ecfe85c268fd300acca4f4d");
+    ("flat-2m", "GraphChi-vE/BFS", "DYNA", "32978b719760af49816dccd229759007");
+    ("flat-2m", "GraphChi-vE/CC", "CUDA", "bba9f28d6e76df3a63732aa653bd9518");
+    ("flat-2m", "GraphChi-vE/CC", "CON", "6d0708b3b637f4215319cdaf9cffd952");
+    ("flat-2m", "GraphChi-vE/CC", "SHARD", "a8afaf405f6b67887fedb1168fd11c87");
+    ("flat-2m", "GraphChi-vE/CC", "COAL", "3fa8b4cda46f6131d5ca84cce232daa2");
+    ("flat-2m", "GraphChi-vE/CC", "TP", "747c733d7bf70db2288ff2722b6e0b18");
+    ("flat-2m", "GraphChi-vE/CC", "DYNA", "70b4fabfe7d50cda04cca3eff7a14ec3");
+    ("flat-2m", "GraphChi-vE/PR", "CUDA", "81cfe9919aac92983d8d67340a96a329");
+    ("flat-2m", "GraphChi-vE/PR", "CON", "8e38651b1ff88d407e02e6d117ae191e");
+    ("flat-2m", "GraphChi-vE/PR", "SHARD", "a210634a3b9c329264d51608cdfc0688");
+    ("flat-2m", "GraphChi-vE/PR", "COAL", "fe5be587e2f8e437c98ec3a56efe276f");
+    ("flat-2m", "GraphChi-vE/PR", "TP", "24a3cc3e818820ef287a5b6f03dfdeb2");
+    ("flat-2m", "GraphChi-vE/PR", "DYNA", "4f598dff644eadb19260ff4ad3221cf6");
+    ("flat-2m", "GraphChi-vEN/BFS", "CUDA", "5fa424b246d20f8f7426eaa2eb64fb87");
+    ("flat-2m", "GraphChi-vEN/BFS", "CON", "7635ad9b1ca71d6fa619448280b1d764");
+    ("flat-2m", "GraphChi-vEN/BFS", "SHARD", "c97e399776588dc6d89bc67129afada9");
+    ("flat-2m", "GraphChi-vEN/BFS", "COAL", "63ad8757860bcf2332348daf4d450066");
+    ("flat-2m", "GraphChi-vEN/BFS", "TP", "c1af8361407c39239d05d67be224ddb7");
+    ("flat-2m", "GraphChi-vEN/BFS", "DYNA", "6ffbe6662e0c4b860207a2b5a408936c");
+    ("flat-2m", "GraphChi-vEN/CC", "CUDA", "a698af45611874dddbcc50c6e7afcf74");
+    ("flat-2m", "GraphChi-vEN/CC", "CON", "ca0c0184764afec50f41c5b3b7ce9ea8");
+    ("flat-2m", "GraphChi-vEN/CC", "SHARD", "781a6c9596b0d0285fc7fe5da3b4d45c");
+    ("flat-2m", "GraphChi-vEN/CC", "COAL", "ac555b8f69d4dd878d37defb286c2395");
+    ("flat-2m", "GraphChi-vEN/CC", "TP", "9b5bde41f47d4f5707aa30334e7bea45");
+    ("flat-2m", "GraphChi-vEN/CC", "DYNA", "f684fc00a6f8860d28f9c64ff464bdb7");
+    ("flat-2m", "GraphChi-vEN/PR", "CUDA", "81ae6449aa163514953c92901a53a774");
+    ("flat-2m", "GraphChi-vEN/PR", "CON", "6acf77dc21d1ba857977dfd8b93e8411");
+    ("flat-2m", "GraphChi-vEN/PR", "SHARD", "1b72bc0c1c9383ff9d6fa9a35530960e");
+    ("flat-2m", "GraphChi-vEN/PR", "COAL", "56d3e7d04156c27de7798352bdcbd32f");
+    ("flat-2m", "GraphChi-vEN/PR", "TP", "0cefe3147d9dc7d39540323c25c0b84d");
+    ("flat-2m", "GraphChi-vEN/PR", "DYNA", "c10683b189ba9486b3541923910e02cb");
+    ("flat-2m", "RAY/RAY", "CUDA", "5b95e181a5865100d4d4a2dde8f68e14");
+    ("flat-2m", "RAY/RAY", "CON", "b5652455a3857d0734888990691764bb");
+    ("flat-2m", "RAY/RAY", "SHARD", "4951dc1f60b8dfba7ebac54f09ee81d3");
+    ("flat-2m", "RAY/RAY", "COAL", "4951dc1f60b8dfba7ebac54f09ee81d3");
+    ("flat-2m", "RAY/RAY", "TP", "8fa881bb4597613a512a17860b319af2");
+    ("flat-2m", "RAY/RAY", "DYNA", "85abf077be386b54b8f91994cce688a8");
+    ("coalesce", "Dynasoar/TRAF", "CUDA", "d2fbcc7842b02e02a54e5aa6ac1aa341");
+    ("coalesce", "Dynasoar/TRAF", "CON", "1f3fd8df8e81d3dd2ef838926fc315dc");
+    ("coalesce", "Dynasoar/TRAF", "SHARD", "a8126d94f6ef4c47b11be11dfd082fcb");
+    ("coalesce", "Dynasoar/TRAF", "COAL", "c191e4d0d6c124ab79200baff3da44e9");
+    ("coalesce", "Dynasoar/TRAF", "TP", "7780814b6bd25b2756140cd6c92a1a79");
+    ("coalesce", "Dynasoar/TRAF", "DYNA", "ea89b858e58c6265f65fcea0eb001daf");
+    ("coalesce", "Dynasoar/GOL", "CUDA", "78abf986bafb97ea616de82ef37242f7");
+    ("coalesce", "Dynasoar/GOL", "CON", "5ac120e37af8de2fa25acd4a071b0f59");
+    ("coalesce", "Dynasoar/GOL", "SHARD", "d7908fd9dce76795418ff2a308ba1d71");
+    ("coalesce", "Dynasoar/GOL", "COAL", "1ac54061d8df7e063288da470ff97e37");
+    ("coalesce", "Dynasoar/GOL", "TP", "5c9df2b2edc16f977f4045c13fcf090f");
+    ("coalesce", "Dynasoar/GOL", "DYNA", "e104906a18a80c46e9fd27b3278929df");
+    ("coalesce", "Dynasoar/STUT", "CUDA", "a00b51ebc5344afade8a38775dbade37");
+    ("coalesce", "Dynasoar/STUT", "CON", "1ad1c1416f867f6c4e22125873d2e8e3");
+    ("coalesce", "Dynasoar/STUT", "SHARD", "1fd1a8243c80958ea8ce6c7a4d72f7f9");
+    ("coalesce", "Dynasoar/STUT", "COAL", "309c33e8eb27b19f313a0ab79caee863");
+    ("coalesce", "Dynasoar/STUT", "TP", "f946e1a77758eb9e7ec2b9bc2449f96b");
+    ("coalesce", "Dynasoar/STUT", "DYNA", "f26211544689bad7da2d7f7ff1e89f8c");
+    ("coalesce", "Dynasoar/GEN", "CUDA", "8753b8b9c31358925a9341964dec71bb");
+    ("coalesce", "Dynasoar/GEN", "CON", "9fc79068c17dc71fb11d5915c50c229d");
+    ("coalesce", "Dynasoar/GEN", "SHARD", "e8b00a6b62220b1ed10e848594ef5454");
+    ("coalesce", "Dynasoar/GEN", "COAL", "e775e24bffb9c3695a97c8b6ef5f518f");
+    ("coalesce", "Dynasoar/GEN", "TP", "1139c07f1381420808768f7bc6f58db1");
+    ("coalesce", "Dynasoar/GEN", "DYNA", "ad0fbbbc992cbc5fd54c8dd648fb161d");
+    ("coalesce", "GraphChi-vE/BFS", "CUDA", "c4596364cba62b0554adabbc47431573");
+    ("coalesce", "GraphChi-vE/BFS", "CON", "ebfcd447acb796c6bb84dd4e333feffd");
+    ("coalesce", "GraphChi-vE/BFS", "SHARD", "0b9eb394d12a38f3ed4cf68c81948b61");
+    ("coalesce", "GraphChi-vE/BFS", "COAL", "c77a00efca15c7a350a0569df09a4dda");
+    ("coalesce", "GraphChi-vE/BFS", "TP", "076935d7c60918d235438b855598bef2");
+    ("coalesce", "GraphChi-vE/BFS", "DYNA", "92b1ff473f8587d9d230c61c23aeb1d2");
+    ("coalesce", "GraphChi-vE/CC", "CUDA", "8393b2f8453579981f888900f87e6076");
+    ("coalesce", "GraphChi-vE/CC", "CON", "c8b5e6e159c4c87b8d57fb813ed269a1");
+    ("coalesce", "GraphChi-vE/CC", "SHARD", "39272c7207b9e9c3ea21bab26a0abdd3");
+    ("coalesce", "GraphChi-vE/CC", "COAL", "56bf416f1e4a64608dca0ad14c198961");
+    ("coalesce", "GraphChi-vE/CC", "TP", "dd00f6a29956ac726481029f2f19fcf6");
+    ("coalesce", "GraphChi-vE/CC", "DYNA", "55b37714f4a38b25240ee43171a05309");
+    ("coalesce", "GraphChi-vE/PR", "CUDA", "d1f4b0fbc74672e966d2cc8fc2a93b95");
+    ("coalesce", "GraphChi-vE/PR", "CON", "3134d69cb9350ad77072b46422428aa9");
+    ("coalesce", "GraphChi-vE/PR", "SHARD", "129b0e49208d952b3b3d30a660c5c971");
+    ("coalesce", "GraphChi-vE/PR", "COAL", "52bb8c965c193c58bc86f0ebc2d2d9e1");
+    ("coalesce", "GraphChi-vE/PR", "TP", "1753656f9e0dbc4f7cca2be536a485dd");
+    ("coalesce", "GraphChi-vE/PR", "DYNA", "5b80f4427223b3d4f2aec31cc726db59");
+    ("coalesce", "GraphChi-vEN/BFS", "CUDA", "5c123824ba5e4a785d242c96ba6b0e47");
+    ("coalesce", "GraphChi-vEN/BFS", "CON", "a6702df15bf19e7ed10ae61ca519d5d2");
+    ("coalesce", "GraphChi-vEN/BFS", "SHARD", "6b147f06c98741dc589ba0d56c2f20e8");
+    ("coalesce", "GraphChi-vEN/BFS", "COAL", "2bf465a63b117ba9e7df8d334327b450");
+    ("coalesce", "GraphChi-vEN/BFS", "TP", "b94aefaa7912b621a78a0ed757bf0517");
+    ("coalesce", "GraphChi-vEN/BFS", "DYNA", "0f667752ccd2339ac1a0fe8848f6c127");
+    ("coalesce", "GraphChi-vEN/CC", "CUDA", "eac9e778d27fb1d856638bb2431308e8");
+    ("coalesce", "GraphChi-vEN/CC", "CON", "e4531dd1d0b63a0383ea2f92a0016df3");
+    ("coalesce", "GraphChi-vEN/CC", "SHARD", "8ce298c9722ecf6b23ef8ad8b138c31b");
+    ("coalesce", "GraphChi-vEN/CC", "COAL", "68d31dd613ca5e5d7f392f7c9f48322b");
+    ("coalesce", "GraphChi-vEN/CC", "TP", "7fb15a44d75e9e89b1e06bc3b1e9f8ff");
+    ("coalesce", "GraphChi-vEN/CC", "DYNA", "f0d687b210814e2a024483ba6d8f4c25");
+    ("coalesce", "GraphChi-vEN/PR", "CUDA", "895fc2c6686a5d6c5f6b63e6c7e13667");
+    ("coalesce", "GraphChi-vEN/PR", "CON", "f59614d057f4d5122f8382366ef8d42e");
+    ("coalesce", "GraphChi-vEN/PR", "SHARD", "2693fb0fec96d0c1663f9e7f92adb76c");
+    ("coalesce", "GraphChi-vEN/PR", "COAL", "412201a5412e703e93804059336aaaf9");
+    ("coalesce", "GraphChi-vEN/PR", "TP", "8f770a25962af54124f26b73f1b38a46");
+    ("coalesce", "GraphChi-vEN/PR", "DYNA", "7fa6c6d7b67f7cf445eba722b60638f9");
+    ("coalesce", "RAY/RAY", "CUDA", "c55ff988708b00db81172299c3b965d7");
+    ("coalesce", "RAY/RAY", "CON", "0ba6bc4250f7bade0b1d2e3887735026");
+    ("coalesce", "RAY/RAY", "SHARD", "88f143704ca29ce02ed39a248fa3519b");
+    ("coalesce", "RAY/RAY", "COAL", "88f143704ca29ce02ed39a248fa3519b");
+    ("coalesce", "RAY/RAY", "TP", "2016d63c0cec79b943e337db2bd3dc9b");
+    ("coalesce", "RAY/RAY", "DYNA", "aaadde19caeb8ea018b46963a46b5aaf");
+  ]
+
+let test_frozen_translated_digests () =
+  List.iter
+    (fun policy ->
+      let pname = Repro_vm.Policy.name policy in
+      let want =
+        List.filter (fun (p, _, _, _) -> p = pname) frozen_translated_digests
+      in
+      let sweep = Repro_experiments.Sweep.exec ~scale:0.02 ~pages:policy () in
+      let got =
+        List.concat_map
+          (fun workload ->
+            List.map
+              (fun column ->
+                let run =
+                  Repro_experiments.Sweep.get_column sweep ~workload ~column
+                in
+                (pname, workload, Repro_experiments.Sweep.column_name column,
+                 W.Harness.digest run))
+              (Repro_experiments.Sweep.columns sweep))
+          (Repro_experiments.Sweep.workload_names sweep)
+      in
+      check Alcotest.int (pname ^ " cell count") (List.length want)
+        (List.length got);
+      List.iter2
+        (fun (_, w, c, d) (_, w', c', d') ->
+          check Alcotest.(pair string string) "cell order" (w, c) (w', c');
+          check Alcotest.string (pname ^ " " ^ w ^ " " ^ c ^ " digest") d d')
+        want got)
+    Repro_vm.Policy.all
+
+(* Telemetry runs at scale 0.02 with a 256-cycle window and the event
+   ring on: (workload, technique, pages, digest), where the digest is
+   the MD5 of ([Harness.digest], every window row's [Stats.to_raw], the
+   trace dump). Every workload under SHARD and TP, plus TRAF/TP under
+   [coalesce] so TLB-walk ring events are pinned too. Produced by the
+   deleted reference loop's telemetry drain. *)
+let frozen_telemetry_digests =
+  [
+    ("Dynasoar/TRAF", "SHARD", "none", "bc2860ac55abcebd757156b80082aedd");
+    ("Dynasoar/TRAF", "TP", "none", "c8cbf6bb1eeffb032ebe8d81ab256d5e");
+    ("Dynasoar/GOL", "SHARD", "none", "efdcd79938703489a03f8a5f4531ed6e");
+    ("Dynasoar/GOL", "TP", "none", "76f6b2299c32ea0095580d2738f2f6c2");
+    ("Dynasoar/STUT", "SHARD", "none", "57342d1469bd2c537423d68cbf0c90fc");
+    ("Dynasoar/STUT", "TP", "none", "317c98272773915cee6eb7cea2606feb");
+    ("Dynasoar/GEN", "SHARD", "none", "42d8d1129869851fb00323f07a52d8fa");
+    ("Dynasoar/GEN", "TP", "none", "990627f1999fb735d4a05aa725df8a25");
+    ("GraphChi-vE/BFS", "SHARD", "none", "f6b2860db5807b06f833db52c705fe7d");
+    ("GraphChi-vE/BFS", "TP", "none", "bf560687b25845353b8c32dffd78f7fe");
+    ("GraphChi-vE/CC", "SHARD", "none", "fb019d158b7bd106478877de6fa1260b");
+    ("GraphChi-vE/CC", "TP", "none", "197e0ce63e5fbb1723e15257367d358f");
+    ("GraphChi-vE/PR", "SHARD", "none", "26c084483d3e5e5b261645617514b858");
+    ("GraphChi-vE/PR", "TP", "none", "3c252185810ed1730802647d8d9485bb");
+    ("GraphChi-vEN/BFS", "SHARD", "none", "abfe0a73b7212e1890a8f4de1f569e54");
+    ("GraphChi-vEN/BFS", "TP", "none", "6d470ffbbdcb20bded5d59f72e2e6cc3");
+    ("GraphChi-vEN/CC", "SHARD", "none", "1cf39e61a2ef8d1bcea69122a09de6ab");
+    ("GraphChi-vEN/CC", "TP", "none", "00102ca881abe2b2f6e1cf9524a0551e");
+    ("GraphChi-vEN/PR", "SHARD", "none", "d72f465f4aff86180ae7287d10a6c551");
+    ("GraphChi-vEN/PR", "TP", "none", "277bc09b6ba5d7a83592b1a06cd4621c");
+    ("RAY/RAY", "SHARD", "none", "9799e9e6d5d6685031b7d089226022e7");
+    ("RAY/RAY", "TP", "none", "e768b6c6bb898a94219e32a9afda9c66");
+    ("Dynasoar/TRAF", "TP", "coalesce", "cc3a03750e4cae661a8c7c93e3c7858e");
+  ]
+
+let test_frozen_telemetry_digests () =
+  let tel =
+    { Repro_gpu.Telemetry.window = Some 256; trace = true;
+      trace_capacity = Repro_gpu.Telemetry.default_capacity }
+  in
+  List.iter
+    (fun (wname, tname, pname, want) ->
+      let w = Option.get (W.Registry.find wname) in
+      let technique = Result.get_ok (T.of_string tname) in
+      let pages = Result.get_ok (Repro_vm.Policy.parse pname) in
+      let p =
+        { (W.Workload.default_params technique) with
+          W.Workload.scale = 0.02; telemetry = Some tel; pages }
+      in
+      let run = W.Harness.run w p in
+      let got =
+        Digest.to_hex
+          (Digest.string
+             (Marshal.to_string
+                (W.Harness.digest run,
+                 List.map (Array.map Stats.to_raw) run.W.Harness.kernel_windows,
+                 run.W.Harness.trace)
+                [ Marshal.No_sharing ]))
+      in
+      check Alcotest.string (wname ^ " " ^ tname ^ " " ^ pname) want got)
+    frozen_telemetry_digests
 
 let test_harness_rejects_functional_mismatch () =
   let p = W.Workload.default_params T.Shared_oa in
@@ -274,6 +571,10 @@ let suite =
       test_harness_rejects_functional_mismatch;
     Alcotest.test_case "frozen sweep digests at scale 0.02" `Quick
       test_frozen_sweep_digests;
+    Alcotest.test_case "frozen translated sweep digests at scale 0.02" `Quick
+      test_frozen_translated_digests;
+    Alcotest.test_case "frozen telemetry digests at scale 0.02" `Quick
+      test_frozen_telemetry_digests;
     Alcotest.test_case "harness speedup direction" `Quick test_harness_speedup_direction;
     Alcotest.test_case "workload scaled" `Quick test_workload_scaled;
     Alcotest.test_case "residency waves complete" `Quick test_residency_waves_complete;

@@ -135,7 +135,7 @@ let prop_heap_sorted =
 (* The full ordering contract: pops come out sorted by (key, insertion
    sequence) lexicographically, i.e. exactly a stable sort of the pushed
    values by key. Keys are drawn from a tiny set so ties are common —
-   the FIFO tie-break is what Sm.run's warp schedule and the sweep
+   the FIFO tie-break is what the replay loop's warp schedule and the sweep
    executor's determinism rest on. *)
 let prop_heap_lexicographic =
   QCheck.Test.make ~name:"heap pop order is lexicographic in (key, seq)"

@@ -25,7 +25,10 @@
    Every pass (plain, tracer, translation) replays through [Sm.run_fused],
    the loop production runs use, on traces recorded once, so their cache
    state differs from a real multi-iteration run — the numbers measure
-   engine speed, not workload figures (bench/main.exe does those). *)
+   engine speed, not workload figures (bench/main.exe does those).
+   Retained traces are sealed, so their memory records are already
+   coalesced: replay throughput excludes coalescing, which is paid once
+   per warp at seal time, in the functional phase. *)
 
 module G = Repro_gpu
 module R = Repro_core

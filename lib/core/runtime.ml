@@ -204,6 +204,8 @@ let launch t ~n_threads kernel =
   Device.launch t.device ~n_threads (fun ctx ->
       kernel (Dispatch.make_env t.dispatch ctx))
 
+let sync t = Device.sync t.device
+
 let stats t = Device.stats t.device
 
 let kernel_timeline t = Device.kernel_timeline t.device

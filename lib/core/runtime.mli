@@ -92,6 +92,10 @@ val launch : t -> n_threads:int -> (Env.t -> unit) -> unit
 (** Launch a kernel; rebuilds COAL's range table first when the region
     set changed since the last launch. *)
 
+val sync : t -> unit
+(** Wait until every launch so far has replayed
+    ({!Repro_gpu.Device.sync}). *)
+
 val stats : t -> Repro_gpu.Stats.t
 
 val kernel_timeline : t -> Repro_gpu.Stats.t list

@@ -21,8 +21,11 @@ let map ~jobs ~f inputs =
       in
       loop ()
     in
-    let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join spawned;
+    (* The extra workers occupy [jobs - 1] spare cores while they run,
+       so the jobs' devices do not start replay lanes on them. *)
+    Repro_util.Spare_cores.hold (jobs - 1) (fun () ->
+        let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+        worker ();
+        Array.iter Domain.join spawned);
     results
   end

@@ -14,4 +14,7 @@ val map : jobs:int -> f:('a -> 'b) -> 'a array -> ('b, exn) result array
 (** [map ~jobs ~f inputs] applies [f] to every input on at most [jobs]
     domains (clamped to [1 .. length inputs]). With [jobs = 1] everything
     runs sequentially on the calling domain — bit-for-bit the behaviour
-    of [Array.map f inputs], with exceptions captured per element. *)
+    of [Array.map f inputs], with exceptions captured per element. While
+    the workers run, the pool holds [jobs - 1] tokens of
+    {!Repro_util.Spare_cores} (a device starts a replay lane only on a
+    free one); results do not depend on it. *)

@@ -615,7 +615,7 @@ let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ -> ()
 
-let run ?runner cfg =
+let serve ?runner cfg =
   ignore_sigpipe ();
   let listen_fd = bind_socket cfg.socket_path in
   let wake_r, wake_w = Unix.pipe () in
@@ -791,6 +791,11 @@ let run ?runner cfg =
   (try Sys.remove cfg.socket_path with Sys_error _ -> ());
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+
+(* The workers occupy [workers] spare cores for as long as the daemon
+   runs, so the jobs they run do not start replay lanes on them. *)
+let run ?runner cfg =
+  Repro_util.Spare_cores.hold (max 1 cfg.workers) (fun () -> serve ?runner cfg)
 
 (* --- Client --------------------------------------------------------------- *)
 

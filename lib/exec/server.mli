@@ -75,7 +75,9 @@ val run : ?runner:job_runner -> config -> unit
 (** Serve until a [Shutdown] request arrives. Blocks the calling
     thread; binds the socket (replacing a stale file, refusing a live
     one), ignores [SIGPIPE]. Raises [Failure] when the socket cannot be
-    bound. *)
+    bound. Holds [workers] tokens of {!Repro_util.Spare_cores} until it
+    returns, so jobs run by the daemon start no replay lane on the cores
+    its workers use. *)
 
 (** {2 Embedding} — used by the tests and the load-test harness. *)
 

@@ -30,22 +30,34 @@ let create ?on_send ~id fd =
     closed = false;
   }
 
+(* Only the new chunk is scanned for newlines: a line that ends inside
+   it is the buffered partial line (if any) plus the chunk's prefix, and
+   whatever follows its last newline is buffered for the next chunk. *)
 let feed t chunk =
-  Buffer.add_string t.buf chunk;
-  let data = Buffer.contents t.buf in
   let lines = ref [] in
   let start = ref 0 in
   String.iteri
     (fun i c ->
       if c = '\n' then begin
-        let len = i - !start in
-        let len = if len > 0 && data.[i - 1] = '\r' then len - 1 else len in
-        lines := String.sub data !start len :: !lines;
+        let line =
+          if Buffer.length t.buf = 0 then String.sub chunk !start (i - !start)
+          else begin
+            Buffer.add_substring t.buf chunk !start (i - !start);
+            let line = Buffer.contents t.buf in
+            Buffer.clear t.buf;
+            line
+          end
+        in
+        let len = String.length line in
+        let line =
+          if len > 0 && line.[len - 1] = '\r' then String.sub line 0 (len - 1)
+          else line
+        in
+        lines := line :: !lines;
         start := i + 1
       end)
-    data;
-  Buffer.clear t.buf;
-  Buffer.add_substring t.buf data !start (String.length data - !start);
+    chunk;
+  Buffer.add_substring t.buf chunk !start (String.length chunk - !start);
   List.rev !lines
 
 let send t response =

@@ -5,6 +5,9 @@
    sinks into locals once per launch and walks the L1 -> L2 -> DRAM
    hierarchy inline over them:
 
+   - memory records read their coalesced sectors straight out of the
+     sealed trace ([Trace.Intern.seal] ran the coalescer once, at the
+     end of emission), so the walk is a slice of one int array;
    - the event heap is a local replace-top heap: every pop is followed
      by at most one push (the re-issue or an activation), which a
      pop-then-push pair services with a single root sift. Pop order is
@@ -84,13 +87,11 @@ let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
     let lens = Array.map Trace.length traces in
     let ops = Array.map Trace.Raw.op_col traces in
     let lbls = Array.map Trace.Raw.lbl_col traces in
-    let acts = Array.map Trace.Raw.act_col traces in
     let reps = Array.map Trace.Raw.rep_col traces in
     let blks = Array.map Trace.Raw.blk_col traces in
-    let aoffs = Array.map Trace.Raw.aoff_col traces in
-    let arenas = Array.map Trace.arena traces in
+    let soffs = Array.map Trace.Raw.sector_off_col traces in
+    let secs = Array.map Trace.Raw.sector_col traces in
     (* Memory-path state and precomputed costs, hoisted. *)
-    let scratch = Mem_path.Raw.scratch mem_path in
     let l1_next_free = Mem_path.Raw.l1_next_free mem_path in
     let lsu_next_free = Mem_path.Raw.lsu_next_free mem_path in
     let clk = Mem_path.Raw.clk mem_path in
@@ -283,10 +284,10 @@ let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
         Array.unsafe_set issue_clock sm (issue_time +. slots);
         let next_ready =
           if op = Trace.op_load then begin
-            let arena = Array.unsafe_get arenas w in
-            let off = Array.unsafe_get (Array.unsafe_get aoffs w) pc in
-            let len = Array.unsafe_get (Array.unsafe_get acts w) pc in
-            let n = Coalesce.sectors_into_unsafe ~buf:scratch arena ~off ~len in
+            let sec = Array.unsafe_get secs w in
+            let so = Array.unsafe_get soffs w in
+            let off = Array.unsafe_get so pc in
+            let n = Array.unsafe_get so (pc + 1) - off in
             ld_tr := !ld_tr + n;
             let lb = !ld_by_lbl in
             lb.(lbl) <- lb.(lbl) + n;
@@ -308,7 +309,7 @@ let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
                  at each level it reaches, cumulative latency down to the
                  level that hits; the completion time folds into
                  [compl_] by replace-if-greater. *)
-              let sector = Array.unsafe_get scratch i in
+              let sector = Array.unsafe_get sec (off + i) in
               let a = t0 +. translate vm vm_lat tlb walk ring sm sector t0 in
               let lnf = Array.unsafe_get l1_next_free sm in
               let t1 = if a >= lnf then a else lnf in
@@ -374,10 +375,10 @@ let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
             else issue_time +. slots
           end
           else if op = Trace.op_store then begin
-            let arena = Array.unsafe_get arenas w in
-            let off = Array.unsafe_get (Array.unsafe_get aoffs w) pc in
-            let len = Array.unsafe_get (Array.unsafe_get acts w) pc in
-            let n = Coalesce.sectors_into_unsafe ~buf:scratch arena ~off ~len in
+            let sec = Array.unsafe_get secs w in
+            let so = Array.unsafe_get soffs w in
+            let off = Array.unsafe_get so pc in
+            let n = Array.unsafe_get so (pc + 1) - off in
             st_tr := !st_tr + n;
             let lf = Array.unsafe_get lsu_next_free sm in
             let t0 = if issue_time >= lf then issue_time else lf in
@@ -391,7 +392,7 @@ let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
                  translates. Store events are instants (dur 0): the warp
                  does not wait on them, and the DRAM drain can outlive the
                  kernel's last warp. *)
-              let sector = Array.unsafe_get scratch i in
+              let sector = Array.unsafe_get sec (off + i) in
               let a = t0 +. translate vm vm_lat tlb walk ring sm sector t0 in
               let t2 = if a >= clk.(0) then a else clk.(0) in
               clk.(0) <- t2 +. inv_l2_tp;

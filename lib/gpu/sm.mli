@@ -12,7 +12,7 @@
 
 val run_fused :
   ?telemetry:Telemetry.t ->
-  Config.t -> Mem_path.t -> stats:Stats.t -> traces:Trace.t array -> float
+  Config.t -> Mem_path.t -> stats:Stats.t -> traces:Trace.sealed array -> float
 (** Simulate one kernel launch whose warp [i] executes [traces.(i)] on SM
     [i mod n_sms]; returns the completion time in cycles (0. for an empty
     launch). Counters (instructions, transactions, hits, TLB outcomes,
@@ -22,7 +22,9 @@ val run_fused :
 
     This is the only replay loop: trace columns, cache tag state and the
     memory-path clocks are hoisted once per launch and the hierarchy walk
-    is inlined, so the per-instruction path allocates nothing. Integer
+    is inlined, so the per-instruction path allocates nothing. Traces are
+    sealed ({!Trace.Intern.seal}), so each memory record's sectors are
+    already coalesced. Integer
     counters are flushed in one exact add per launch.
 
     When [telemetry] carries a sampler the caller must bracket the run

@@ -1,10 +1,14 @@
 (* Structure-of-arrays trace storage.
 
    One record per dynamic warp instruction, split across flat parallel int
-   arrays; memory instructions keep their per-lane canonical addresses in a
-   shared arena ([addrs]) addressed by offset/length. The functional phase
-   grows the arrays (amortized doubling); the timing phase replays by index
-   without allocating. *)
+   arrays. An emission trace keeps each memory instruction's per-lane
+   canonical addresses in an arena ([addrs]) addressed by offset/length;
+   the functional phase grows the arrays (amortized doubling). A sealed
+   trace keeps the coalesced 32 B sectors instead, which is all the timing
+   phase reads; it replays by index without allocating.
+
+   Both kinds share one record type under a phantom parameter, so the
+   column accessors serve both while the interface keeps them apart. *)
 
 let op_load = 0
 let op_store = 1
@@ -14,20 +18,27 @@ let op_const_load = 4
 let op_call_indirect = 5
 let op_call_direct = 6
 
-type t = {
+type 'k trace = {
   mutable len : int;
   mutable op : int array;        (* op_* opcode *)
   mutable lbl : int array;       (* Label.to_index *)
   mutable act : int array;       (* active lanes when issued *)
   mutable rep : int array;       (* Instr.instruction_count *)
   mutable blk : int array;       (* blocking flag, 0/1 *)
-  mutable aoff : int array;      (* arena offset; -1 for non-mem records *)
-  mutable addrs : int array;     (* the address arena *)
+  mutable aoff : int array;
+  (* Emission: arena offset per record, -1 for non-mem records. Sealed:
+     [len + 1] sector offsets; record [i] owns [aoff.(i) .. aoff.(i+1)-1]. *)
+  mutable addrs : int array;     (* lane addresses, or sectors once sealed *)
   mutable addrs_len : int;
   mutable instr_total : int;     (* running sum of [rep] *)
 }
 
-let create ?(capacity = 64) () =
+type lanes
+type sectors
+type t = lanes trace
+type sealed = sectors trace
+
+let create ?(capacity = 64) () : t =
   let capacity = max 1 capacity in
   {
     len = 0;
@@ -45,7 +56,7 @@ let create ?(capacity = 64) () =
 (* Rewind for scratch reuse: the capacity (and any growth) survives, so a
    per-device scratch trace reaches steady state after the largest warp
    and emission stops allocating entirely. *)
-let reset t =
+let reset (t : t) =
   t.len <- 0;
   t.addrs_len <- 0;
   t.instr_total <- 0
@@ -93,7 +104,7 @@ let push t ~op ~label ~active ~rep ~blocking ~aoff =
    intermediate canonical array is built. The [_n] variants take an
    explicit lane count so callers can emit straight from a reusable
    scratch buffer wider than the warp. *)
-let emit_mem_n t ~op ~label ~blocking addrs n =
+let emit_mem_n (t : t) ~op ~label ~blocking addrs n =
   if n = 0 then invalid_arg "Trace.emit_mem: no active lanes";
   reserve_arena t n;
   let off = t.addrs_len in
@@ -120,21 +131,21 @@ let emit_store t ~label addrs =
 let emit_store_n t ~label addrs n =
   emit_mem_n t ~op:op_store ~label ~blocking:false addrs n
 
-let emit_compute t ~label ~n ~blocking ~active =
+let emit_compute (t : t) ~label ~n ~blocking ~active =
   if n <= 0 then invalid_arg "Trace.emit_compute: n must be positive";
   push t ~op:op_compute ~label ~active ~rep:n ~blocking ~aoff:(-1)
 
-let emit_ctrl t ~label ~n ~active =
+let emit_ctrl (t : t) ~label ~n ~active =
   if n <= 0 then invalid_arg "Trace.emit_ctrl: n must be positive";
   push t ~op:op_ctrl ~label ~active ~rep:n ~blocking:false ~aoff:(-1)
 
-let emit_const_load t ~label ~active =
+let emit_const_load (t : t) ~label ~active =
   push t ~op:op_const_load ~label ~active ~rep:1 ~blocking:true ~aoff:(-1)
 
-let emit_call_indirect t ~label ~active =
+let emit_call_indirect (t : t) ~label ~active =
   push t ~op:op_call_indirect ~label ~active ~rep:1 ~blocking:true ~aoff:(-1)
 
-let emit_call_direct t ~label ~active =
+let emit_call_direct (t : t) ~label ~active =
   push t ~op:op_call_direct ~label ~active ~rep:1 ~blocking:true ~aoff:(-1)
 
 (* --- replay accessors (no bounds logic beyond the array checks) -------- *)
@@ -144,11 +155,13 @@ let label_index t i = t.lbl.(i)
 let active t i = t.act.(i)
 let repeat t i = t.rep.(i)
 let is_blocking t i = t.blk.(i) <> 0
-let addr_off t i = t.aoff.(i)
+let addr_off (t : t) i = t.aoff.(i)
 
-let arena t = t.addrs
+let arena (t : t) = t.addrs
 (* The current arena array. Further emission may replace it (growth), so
-   fetch it again after any emit; during replay the trace is frozen. *)
+   fetch it again after any emit. *)
+
+let sectors (t : sealed) i = Array.sub t.addrs t.aoff.(i) (t.aoff.(i + 1) - t.aoff.(i))
 
 (* --- interning ---------------------------------------------------------
 
@@ -156,20 +169,25 @@ let arena t = t.addrs
    type-sharded (or COAL-sorted) range executes the same instruction
    stream, so a launch's [n_warps] traces collapse to a handful of
    distinct column sets. [Intern.seal] hash-conses the record columns
-   (op/lbl/act/rep/blk — and aoff, which is a running sum of the act
-   column over memory records and therefore equal whenever they are):
-   warps with identical streams share one physical set of column arrays.
+   (op/lbl/act/rep/blk): warps with identical streams share one physical
+   set of column arrays.
 
-   The address arena is deliberately NOT interned: two warps with the
-   same instruction stream still touch different objects, and those
-   per-lane addresses are what drive coalescing, cache and TLB state
-   during replay. Each sealed trace therefore carries a private,
-   exact-size arena copy. Replay reads columns through the shared arrays
-   and addresses through the private arena — structurally identical to an
-   un-interned trace, so timing is byte-identical by construction. *)
+   Addresses are not interned: two warps with the same instruction stream
+   still touch different objects, and what those addresses coalesce to
+   drives the cache and TLB state during replay. Replay needs only the
+   coalesced sectors, so sealing runs the coalescer once per memory
+   record and each sealed trace keeps a private, exact-size sector arena
+   plus a private [len + 1] offset column (sector counts differ between
+   warps that share columns). The lane arena is not kept: it is 1.9x the
+   sector arena over the translated Fig. 6 cells at scale 0.25, and 16x
+   in RAY.
+   Replay reads columns through the shared arrays and sectors through
+   the private arena, in the coalescer's ascending order, so timing is
+   the same as coalescing at replay time, byte for byte. *)
 module Intern = struct
   type pool = {
-    tbl : (int, t list ref) Hashtbl.t;  (* stream hash -> representatives *)
+    tbl : (int, sealed list ref) Hashtbl.t;  (* stream hash -> representatives *)
+    mutable sectors : int array;  (* reusable coalescing buffer *)
     mutable sealed : int;
     mutable unique : int;
     mutable sealed_instrs : int;
@@ -177,14 +195,14 @@ module Intern = struct
   }
 
   let create () =
-    { tbl = Hashtbl.create 64; sealed = 0; unique = 0; sealed_instrs = 0;
-      unique_instrs = 0 }
+    { tbl = Hashtbl.create 64; sectors = Array.make 256 0; sealed = 0;
+      unique = 0; sealed_instrs = 0; unique_instrs = 0 }
 
   let mix h v =
     let h = h lxor (v + 0x9e3779b9 + (h lsl 6) + (h lsr 2)) in
     h land max_int
 
-  let stream_hash tr =
+  let stream_hash (tr : t) =
     let h = ref (mix 0 tr.len) in
     for i = 0 to tr.len - 1 do
       h := mix !h tr.op.(i);
@@ -195,7 +213,7 @@ module Intern = struct
     done;
     !h
 
-  let same_stream a b =
+  let same_stream (a : sealed) (b : t) =
     a.len = b.len
     &&
     let rec eq i =
@@ -206,9 +224,30 @@ module Intern = struct
     in
     eq 0
 
-  let seal pool scratch =
+  (* Coalesce every memory record of [scratch] into [pool.sectors], back
+     to back (a record never has more sectors than lanes, so the lane
+     arena's length bounds the total); returns the offset column and the
+     exact-size sector arena. *)
+  let coalesce pool (scratch : t) =
     let n = scratch.len in
-    let addrs = Array.sub scratch.addrs 0 scratch.addrs_len in
+    if Array.length pool.sectors < scratch.addrs_len then
+      pool.sectors <- Array.make (max scratch.addrs_len (2 * Array.length pool.sectors)) 0;
+    let buf = pool.sectors in
+    let off = Array.make (n + 1) 0 in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      off.(i) <- !k;
+      let a = scratch.aoff.(i) in
+      if a >= 0 then
+        k := !k + Coalesce.sectors_into ~buf ~at:!k scratch.addrs ~off:a
+                    ~len:scratch.act.(i)
+    done;
+    off.(n) <- !k;
+    (off, Array.sub buf 0 !k)
+
+  let seal pool (scratch : t) : sealed =
+    let n = scratch.len in
+    let aoff, addrs = coalesce pool scratch in
     pool.sealed <- pool.sealed + 1;
     pool.sealed_instrs <- pool.sealed_instrs + scratch.instr_total;
     let h = stream_hash scratch in
@@ -222,17 +261,17 @@ module Intern = struct
     in
     match List.find_opt (fun r -> same_stream r scratch) !bucket with
     | Some r ->
-      (* Column hit: share the representative's arrays, private arena. *)
+      (* Column hit: share the representative's arrays, private sectors. *)
       { len = n; op = r.op; lbl = r.lbl; act = r.act; rep = r.rep;
-        blk = r.blk; aoff = r.aoff; addrs;
-        addrs_len = scratch.addrs_len; instr_total = scratch.instr_total }
+        blk = r.blk; aoff; addrs; addrs_len = Array.length addrs;
+        instr_total = scratch.instr_total }
     | None ->
       let sub a = Array.sub a 0 n in
       let r =
         { len = n; op = sub scratch.op; lbl = sub scratch.lbl;
           act = sub scratch.act; rep = sub scratch.rep;
-          blk = sub scratch.blk; aoff = sub scratch.aoff; addrs;
-          addrs_len = scratch.addrs_len; instr_total = scratch.instr_total }
+          blk = sub scratch.blk; aoff; addrs; addrs_len = Array.length addrs;
+          instr_total = scratch.instr_total }
       in
       bucket := r :: !bucket;
       pool.unique <- pool.unique + 1;
@@ -245,19 +284,18 @@ module Intern = struct
   let unique_instrs p = p.unique_instrs
 end
 
-let shares_columns a b = a.op == b.op
+let shares_columns (a : sealed) (b : sealed) = a.op == b.op
 
-(* Column views for the fused replay loop: hoisted once per launch so the
+(* Column views for the replay loop: hoisted once per launch so the
    per-instruction reads are direct (unsafe) array loads instead of
-   cross-module calls. Only the first [length] records (and the first
-   [arena_length] arena cells) are live. *)
+   cross-module calls. Only the first [length] records are live. *)
 module Raw = struct
-  let op_col t = t.op
-  let lbl_col t = t.lbl
-  let act_col t = t.act
-  let rep_col t = t.rep
-  let blk_col t = t.blk
-  let aoff_col t = t.aoff
+  let op_col (t : sealed) = t.op
+  let lbl_col (t : sealed) = t.lbl
+  let rep_col (t : sealed) = t.rep
+  let blk_col (t : sealed) = t.blk
+  let sector_off_col (t : sealed) = t.aoff
+  let sector_col (t : sealed) = t.addrs
 end
 
-let arena_length t = t.addrs_len
+let arena_length (t : t) = t.addrs_len

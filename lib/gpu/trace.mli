@@ -2,14 +2,28 @@
 
     Stored as a structure of arrays: one flat int array per field (opcode,
     label id, active lanes, repeat count, blocking flag, arena offset) plus
-    a per-trace address arena holding the canonical per-lane byte addresses
-    of every memory instruction back to back. The functional phase appends
-    through the [emit_*] functions (amortized-doubling growth, tag bits
-    stripped as addresses enter the arena); the timing phase replays by
-    index through the int-returning accessors without touching the minor
-    heap. *)
+    a per-trace address arena. An emission trace ({!t}) holds the
+    canonical per-lane byte addresses of every memory instruction back to
+    back; the functional phase appends through the [emit_*] functions
+    (amortized-doubling growth, tag bits stripped as addresses enter the
+    arena). {!Intern.seal} freezes it into a {!sealed} trace that holds
+    each memory instruction's coalesced 32 B sectors instead — all the
+    timing phase reads — and the replay loop walks those columns by
+    index without touching the minor heap. Only sealed traces reach
+    replay. *)
 
-type t
+type 'k trace
+(** A trace of kind ['k]: {!lanes} while emitting, {!sectors} once
+    sealed. *)
+
+type lanes
+type sectors
+
+type t = lanes trace
+(** An emission trace: per-lane addresses, growable. *)
+
+type sealed = sectors trace
+(** A frozen trace: per-record coalesced sectors, replayable. *)
 
 val create : ?capacity:int -> unit -> t
 
@@ -18,10 +32,10 @@ val reset : t -> unit
     replays one scratch trace per device: [reset] between warps, then
     {!Intern.seal} to snapshot the stream. *)
 
-val length : t -> int
+val length : _ trace -> int
 (** Number of trace records (one [Compute n] record counts once here). *)
 
-val instruction_total : t -> int
+val instruction_total : _ trace -> int
 (** Total dynamic warp instructions (expanding [Compute n]/[Ctrl n]).
     Maintained incrementally; O(1). *)
 
@@ -67,23 +81,23 @@ val emit_call_indirect : t -> label:Label.t -> active:int -> unit
 
 val emit_call_direct : t -> label:Label.t -> active:int -> unit
 
-(** {1 Replay accessors (timing phase)}
+(** {1 Record accessors}
 
     All return immediates; none allocate. *)
 
-val op : t -> int -> int
+val op : _ trace -> int -> int
 
-val label_index : t -> int -> int
+val label_index : _ trace -> int -> int
 (** The record's {!Label.to_index}. *)
 
-val active : t -> int -> int
-(** Active lane count; for memory records this is also the arena slice
-    length. *)
+val active : _ trace -> int -> int
+(** Active lane count; for memory records of an emission trace this is
+    also the arena slice length. *)
 
-val repeat : t -> int -> int
+val repeat : _ trace -> int -> int
 (** The record's {!Instr.instruction_count}. *)
 
-val is_blocking : t -> int -> bool
+val is_blocking : _ trace -> int -> bool
 
 val addr_off : t -> int -> int
 (** Arena offset of a memory record's addresses; -1 for non-memory
@@ -91,31 +105,39 @@ val addr_off : t -> int -> int
 
 val arena : t -> int array
 (** The current address arena. Emission may replace the array (growth), so
-    re-fetch after any [emit_*]; during replay the trace is frozen and the
-    array is stable. *)
+    re-fetch after any [emit_*]. *)
 
-(** {1 Interning}
+val sectors : sealed -> int -> int array
+(** A fresh copy of record [i]'s coalesced sector ids, ascending (empty
+    for non-memory records) — test hook. *)
 
-    Hash-consing of warp instruction streams. The paper's workloads are
-    homogeneous per type, so a launch's traces collapse to a handful of
-    distinct record-column sets; sealing a warp's scratch trace through a
-    pool shares the column arrays (op/label/active/repeat/blocking/offset)
-    of every warp with an identical stream. Per-lane addresses are {e
-    never} shared — they differ per warp and drive coalescing, cache and
-    TLB state — so each sealed trace keeps a private exact-size arena.
-    Replay through a sealed trace is structurally identical to replay
-    through a plain one: timing and stats are byte-identical. *)
+(** {1 Sealing and interning}
+
+    Sealing coalesces and hash-conses warp instruction streams. Every
+    memory record's lane addresses are coalesced once, through
+    {!Coalesce.sectors_into}, into the sealed trace's private sector
+    arena (plus a private offset column): replay needs nothing else, and
+    the sectors are a fraction of the lanes on the paper's dispatch
+    sequences. The paper's workloads are homogeneous per type, so a
+    launch's traces collapse to a handful of distinct record-column
+    sets; sealing through a pool shares the column arrays
+    (op/label/active/repeat/blocking) of every warp with an identical
+    stream. Sectors are {e never} shared — they differ per warp and
+    drive cache and TLB state. Replaying a sealed trace is the same as
+    coalescing the lane addresses at replay time: timing and stats are
+    byte-identical. *)
 module Intern : sig
   type pool
 
   val create : unit -> pool
   (** An empty pool; typically one per kernel launch. *)
 
-  val seal : pool -> t -> t
+  val seal : pool -> t -> sealed
   (** [seal pool scratch] snapshots [scratch] into a frozen trace:
       columns are hash-consed through [pool] (shared physically with any
-      earlier identical stream), the arena is copied exact-size. The
-      scratch is not modified — {!reset} it before the next warp. *)
+      earlier identical stream), memory records are coalesced into an
+      exact-size sector arena. The scratch is not modified — {!reset} it
+      before the next warp. *)
 
   val sealed : pool -> int
   (** Streams sealed through the pool. *)
@@ -131,21 +153,26 @@ module Intern : sig
   (** Ditto across distinct streams only. *)
 end
 
-val shares_columns : t -> t -> bool
+val shares_columns : sealed -> sealed -> bool
 (** Physical column-array sharing (interning worked) — test hook. *)
 
 val arena_length : t -> int
 (** Live prefix of {!arena}. *)
 
-(** Column views for the fused replay loop ({!Sm.run_fused}): hoisted
-    once per launch so per-instruction reads are direct array loads (no
-    flambda, so the per-record accessors above are real calls). Only the
-    first {!length} entries are live; never mutate through these. *)
+(** Column views for the replay loop ({!Sm.run_fused}): hoisted once per
+    launch so per-instruction reads are direct array loads (no flambda,
+    so the per-record accessors above are real calls). Only the first
+    {!length} entries are live; never mutate through these. *)
 module Raw : sig
-  val op_col : t -> int array
-  val lbl_col : t -> int array
-  val act_col : t -> int array
-  val rep_col : t -> int array
-  val blk_col : t -> int array
-  val aoff_col : t -> int array
+  val op_col : sealed -> int array
+  val lbl_col : sealed -> int array
+  val rep_col : sealed -> int array
+  val blk_col : sealed -> int array
+
+  val sector_off_col : sealed -> int array
+  (** [length + 1] entries: record [i]'s sectors are
+      [sector_col.(off.(i) .. off.(i+1) - 1)]. *)
+
+  val sector_col : sealed -> int array
+  (** The sector arena, exact size. *)
 end

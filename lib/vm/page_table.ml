@@ -46,7 +46,11 @@ type t = {
   levels : int array; (* walk depth charged on a full miss *)
   owner : int array;  (* promoted spans: owning type_id; -1 otherwise *)
   phys : int array;   (* modelled physical base address (bytes) *)
-  mutable last : int; (* one-entry lookup cache *)
+  mutable last : int;
+  (* One-entry lookup cache. The sanitizer (emission) and the TLB model
+     (replay, possibly on another domain) both write it; [find] checks
+     whatever index it reads, so a racing write costs a miss, never a
+     wrong span. *)
   total_pages : int;
   large_spans : int;
 }

@@ -1,7 +1,9 @@
 let all =
-  [ Traffic.workload; Automata.game_of_life; Structure.workload; Automata.generation ]
-  @ Graphchi.all
-  @ [ Raytrace.workload ]
+  List.map Workload.settle_last_iteration
+    ([ Traffic.workload; Automata.game_of_life; Structure.workload;
+       Automata.generation ]
+     @ Graphchi.all
+     @ [ Raytrace.workload ])
 
 let qualified_name (w : Workload.t) = w.Workload.suite ^ "/" ^ w.Workload.name
 

@@ -2,7 +2,8 @@
     lookup helpers. *)
 
 val all : Workload.t list
-(** TRAF, GOL, STUT, GEN, vE BFS/CC/PR, vEN BFS/CC/PR, RAY. *)
+(** TRAF, GOL, STUT, GEN, vE BFS/CC/PR, vEN BFS/CC/PR, RAY, each
+    {!Workload.settle_last_iteration}d. *)
 
 val find : string -> Workload.t option
 (** Case-insensitive lookup by ["name"] or ["suite/name"] (needed for

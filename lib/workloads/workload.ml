@@ -38,4 +38,24 @@ type t = {
   build : params -> instance;
 }
 
+(* A device replays on a spare core while the next launch emits, so the
+   last launch may still be replaying when the last iteration returns.
+   Waiting for it there keeps the job's kernel phase (the iterations)
+   covering all of its emission and replay, as a clock around the
+   iterations expects. *)
+let settle_last_iteration w =
+  {
+    w with
+    build =
+      (fun p ->
+        let inst = w.build p in
+        {
+          inst with
+          run_iteration =
+            (fun i ->
+              inst.run_iteration i;
+              if i = inst.iterations - 1 then Repro_core.Runtime.sync inst.rt);
+        });
+  }
+
 let scaled params n = max 1 (int_of_float (Float.round (float_of_int n *. params.scale)))

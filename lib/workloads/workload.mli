@@ -58,6 +58,13 @@ type t = {
   build : params -> instance;
 }
 
+val settle_last_iteration : t -> t
+(** The same workload, except that the instance's last iteration
+    returns only once every launch has replayed (the device may replay
+    on a spare core while the next launch emits; see
+    {!Repro_gpu.Device}). {!Registry.all} holds settled workloads, so a
+    clock around a job's iterations covers its whole kernel phase. *)
+
 val scaled : params -> int -> int
 (** [scaled params n] applies the scale factor to a default count,
     keeping at least one. *)

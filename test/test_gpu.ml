@@ -49,7 +49,13 @@ let test_coalesce_basic () =
   check Alcotest.int "fully diverged" 32
     (Coalesce.transaction_count (Array.init 32 (fun i -> i * 128)));
   check (Alcotest.array Alcotest.int) "sorted sectors" [| 0; 4 |]
-    (Coalesce.sectors [| 128; 0; 130 |])
+    (Coalesce.sectors [| 128; 0; 130 |]);
+  (* The buffer coalescer checks its ranges once, up front. *)
+  let oob = Invalid_argument "Coalesce.sectors_into: range out of bounds" in
+  Alcotest.check_raises "lanes past the arena" oob (fun () ->
+      ignore (Coalesce.sectors_into ~buf:(Array.make 4 0) ~at:0 [| 0; 8 |] ~off:1 ~len:2));
+  Alcotest.check_raises "buffer too short" oob (fun () ->
+      ignore (Coalesce.sectors_into ~buf:(Array.make 2 0) ~at:1 [| 0; 64 |] ~off:0 ~len:2))
 
 let prop_coalesce_bounds =
   QCheck.Test.make ~name:"coalescer bounds: 1..lanes transactions" ~count:300
@@ -58,9 +64,10 @@ let prop_coalesce_bounds =
       let n = Coalesce.transaction_count (Array.of_list addrs) in
       n >= 1 && n <= List.length addrs)
 
-(* The replay-path scratch-buffer coalescer must agree exactly with the
-   naive reference (sorted distinct sectors) for any lane count, duplicate
-   pattern and ordering, at any arena offset, tag bits included. *)
+(* The sealing coalescer must agree exactly with the naive reference
+   (sorted distinct sectors) for any lane count, duplicate pattern and
+   ordering, at any arena offset and destination offset, tag bits
+   included. *)
 let prop_coalesce_scratch_equiv =
   QCheck.Test.make ~name:"scratch coalescer matches naive reference" ~count:500
     QCheck.(
@@ -77,23 +84,10 @@ let prop_coalesce_scratch_equiv =
       (* Embed the lane addresses at a nonzero arena offset. *)
       let arena = Array.make (pad + len) 0 in
       List.iteri (fun i a -> arena.(pad + i) <- a) tagged;
-      let buf = Array.make len (-1) in
-      let n = Coalesce.sectors_into ~buf arena ~off:pad ~len in
-      Array.sub buf 0 n = Coalesce.sectors (Array.of_list addrs))
-
-let prop_coalesce_unsafe_equiv =
-  QCheck.Test.make ~name:"unchecked coalescer matches checked coalescer"
-    ~count:500
-    QCheck.(
-      pair (list_of_size (Gen.int_range 1 32) (int_bound 100_000)) (int_bound 8))
-    (fun (addrs, pad) ->
-      let len = List.length addrs in
-      let arena = Array.make (pad + len) 0 in
-      List.iteri (fun i a -> arena.(pad + i) <- a) addrs;
-      let buf = Array.make len (-1) and buf' = Array.make len (-1) in
-      let n = Coalesce.sectors_into ~buf arena ~off:pad ~len in
-      let n' = Coalesce.sectors_into_unsafe ~buf:buf' arena ~off:pad ~len in
-      n = n' && Array.sub buf 0 n = Array.sub buf' 0 n')
+      let buf = Array.make (pad + len) (-1) in
+      let n = Coalesce.sectors_into ~buf ~at:pad arena ~off:pad ~len in
+      Array.sub buf pad n = Coalesce.sectors (Array.of_list addrs)
+      && Array.for_all (fun x -> x = -1) (Array.sub buf 0 pad))
 
 (* --- cache ------------------------------------------------------------ *)
 
@@ -152,19 +146,26 @@ let prop_cache_hits_bounded =
 
 let cfg = Config.default
 
+(* Replay takes sealed traces: coalesced, and interned through one pool
+   as a device launch seals them. *)
+let seal_all traces =
+  let pool = Trace.Intern.create () in
+  Array.map (Trace.Intern.seal pool) traces
+
 (* One warp per address list, each a chain of blocking single-address
    loads; warp [i] runs on SM [i]. *)
 let load_warps warps =
-  Array.of_list
-    (List.map
-       (fun loads ->
-         let t = Trace.create () in
-         List.iter
-           (fun addrs ->
-             ignore (Trace.emit_load t ~label:Label.Body ~blocking:true addrs))
-           loads;
-         t)
-       warps)
+  seal_all
+    (Array.of_list
+       (List.map
+          (fun loads ->
+            let t = Trace.create () in
+            List.iter
+              (fun addrs ->
+                ignore (Trace.emit_load t ~label:Label.Body ~blocking:true addrs))
+              loads;
+            t)
+          warps))
 
 let replay ?(mp = Mem_path.create cfg) ?(stats = Stats.create ()) warps =
   Sm.run_fused cfg mp ~stats ~traces:(load_warps warps)
@@ -397,7 +398,7 @@ let test_trace_compat_emit () =
 
 let canned_traces ~n_warps ~n_instrs =
   let heap = Page_store.create () in
-  Array.init n_warps (fun warp_id ->
+  seal_all @@ Array.init n_warps (fun warp_id ->
       let lanes = Array.init 32 (fun l -> (warp_id * 32) + l) in
       let ctx = Warp_ctx.create ~heap ~warp_id ~lanes () in
       for i = 0 to n_instrs - 1 do
@@ -487,35 +488,38 @@ let test_replay_zero_allocation_translated () =
 (* Random warp programs over the full instruction vocabulary — converged
    and per-lane-diverged loads, stores, compute bursts, ctrl, indirect
    calls — across mixed warp widths (full, partial, single-lane). *)
+let run_ops ctx lanes ops =
+  List.iter
+    (fun (op, r) ->
+      let base = (r * 8) land 0xFFFF8 in
+      match op with
+      | 0 ->
+        ignore
+          (Warp_ctx.load ctx ~label:Label.Body
+             (Array.map (fun l -> base + (8 * (l land 31))) lanes))
+      | 1 ->
+        (* One sector per lane: the diverged vTable pattern. *)
+        ignore
+          (Warp_ctx.load ctx ~label:Label.Vtable_load
+             (Array.map
+                (fun l -> (base + (4096 * (l land 31))) land 0xFFFFF8)
+                lanes))
+      | 2 ->
+        Warp_ctx.store ctx ~label:Label.Body
+          (Array.map (fun l -> base + (8 * (l land 31))) lanes)
+          (Array.map (fun l -> l + 1) lanes)
+      | 3 -> Warp_ctx.compute ctx ~n:(1 + (r mod 4)) ~label:Label.Body
+      | 4 -> Warp_ctx.ctrl ctx ~label:Label.Body
+      | _ -> Warp_ctx.call_indirect ctx ~label:Label.Call)
+    ops
+
 let traces_of_ops ops =
   let heap = Page_store.create () in
   let widths = [| 32; 17; 32; 5 |] in
-  Array.init (Array.length widths) (fun warp_id ->
+  seal_all @@ Array.init (Array.length widths) (fun warp_id ->
       let lanes = Array.init widths.(warp_id) (fun l -> (warp_id * 32) + l) in
       let ctx = Warp_ctx.create ~heap ~warp_id ~lanes () in
-      List.iter
-        (fun (op, r) ->
-          let base = (r * 8) land 0xFFFF8 in
-          match op with
-          | 0 ->
-            ignore
-              (Warp_ctx.load ctx ~label:Label.Body
-                 (Array.map (fun l -> base + (8 * (l land 31))) lanes))
-          | 1 ->
-            (* One sector per lane: the diverged vTable pattern. *)
-            ignore
-              (Warp_ctx.load ctx ~label:Label.Vtable_load
-                 (Array.map
-                    (fun l -> (base + (4096 * (l land 31))) land 0xFFFFF8)
-                    lanes))
-          | 2 ->
-            Warp_ctx.store ctx ~label:Label.Body
-              (Array.map (fun l -> base + (8 * (l land 31))) lanes)
-              (Array.map (fun l -> l + 1) lanes)
-          | 3 -> Warp_ctx.compute ctx ~n:(1 + (r mod 4)) ~label:Label.Body
-          | 4 -> Warp_ctx.ctrl ctx ~label:Label.Body
-          | _ -> Warp_ctx.call_indirect ctx ~label:Label.Call)
-        ops;
+      run_ops ctx lanes ops;
       Warp_ctx.trace ctx)
 
 (* Program [k] of the frozen set: a fixed-seed draw of 1..80 ops. *)
@@ -663,6 +667,120 @@ let prop_telemetry_observation_only =
       in
       c1 = c2 && ints plain = ints folded)
 
+(* --- sealed traces ------------------------------------------------------ *)
+
+(* Sealing keeps each memory record's coalesced sectors (what replay
+   reads) instead of its lanes, and shares the columns of identical
+   streams. *)
+let test_seal_stores_sectors () =
+  let emit addrs =
+    let t = Trace.create () in
+    ignore (Trace.emit_load t ~label:Label.Body ~blocking:true addrs);
+    Trace.emit_compute t ~label:Label.Body ~n:2 ~blocking:false ~active:4;
+    ignore (Trace.emit_store t ~label:Label.Body (Array.map (fun a -> a + 8) addrs));
+    t
+  in
+  let lanes = [| 4096; 64; Repro_mem.Vaddr.with_tag 4100 ~tag:3; 72 |] in
+  match seal_all [| emit lanes; emit [| 0; 32; 64; 96 |] |] with
+  | [| a; b |] ->
+    check (Alcotest.array Alcotest.int) "load sectors"
+      (Coalesce.sectors lanes) (Trace.sectors a 0);
+    check (Alcotest.array Alcotest.int) "compute has none" [||]
+      (Trace.sectors a 1);
+    check (Alcotest.array Alcotest.int) "store sectors"
+      (Coalesce.sectors (Array.map (fun x -> x + 8) lanes)) (Trace.sectors a 2);
+    check Alcotest.bool "identical streams share columns" true
+      (Trace.shares_columns a b);
+    check (Alcotest.array Alcotest.int) "sectors stay per warp" [| 0; 1; 2; 3 |]
+      (Trace.sectors b 0);
+    check Alcotest.int "instruction total" 4 (Trace.instruction_total b)
+  | _ -> Alcotest.fail "two traces"
+
+(* --- launch pipelining -------------------------------------------------- *)
+
+module Cores = Repro_util.Spare_cores
+
+(* Run [f] with exactly one spare-core token free ([lane = true]: a
+   device takes it for a replay lane) or none, through the call
+   [Pool.map] uses, on any core count. *)
+let with_lane lane f =
+  let free = Cores.available () in
+  Cores.hold (if lane then free - 1 else free) f
+
+let kernel_of_ops ops ctx = run_ops ctx (Warp_ctx.tids ctx) ops
+
+(* A random multi-launch program on a windowed, ring-recording,
+   sanitized device, with the translation model swapped between
+   launches (none, or one of two fresh flat-4K models) and some stats
+   reads in the middle (lane drain points). Everything a job reads
+   back. *)
+let run_program program =
+  let heap = Page_store.create () in
+  let san = Repro_san.Checker.create ~tags_expected:false () in
+  let telemetry =
+    { Telemetry.window = Some 128; trace = true; trace_capacity = 2048 }
+  in
+  let dev = Device.create ~san ~telemetry ~heap () in
+  let vms = [| None; Some (test_vm ()); Some (test_vm ()) |] in
+  List.iter
+    (fun (vm, n_threads, read, ops) ->
+      Device.set_vm dev vms.(vm);
+      Device.launch dev ~n_threads (kernel_of_ops ops);
+      if read then ignore (Device.stats dev))
+    program;
+  ( Stats.to_raw (Device.stats dev),
+    List.map Stats.to_raw (Device.kernel_timeline dev),
+    List.map (Array.map Stats.to_raw) (Device.window_timeline dev),
+    Device.telemetry_dump dev )
+
+let prop_lane_invisible =
+  QCheck.Test.make ~name:"replay lane on or off: identical results" ~count:25
+    QCheck.(
+      list_of_size (Gen.int_range 1 6)
+        (quad (int_bound 2) (int_range 1 320) bool
+           (list_of_size (Gen.int_range 1 30)
+              (pair (int_bound 5) (int_bound 0xFFFF)))))
+    (fun program ->
+      let on = with_lane true (fun () -> run_program program) in
+      let off = with_lane false (fun () -> run_program program) in
+      on = off && Cores.available () = Cores.initial)
+
+exception Kernel_failed
+
+(* A wide launch keeps the lane busy while the next ones emit. *)
+let busy_kernel = kernel_of_ops (List.init 40 (fun i -> (i mod 6, 977 * i)))
+
+let test_lane_kernel_exception () =
+  let dev = ref None in
+  with_lane true (fun () ->
+      let heap = Page_store.create () in
+      let d = Device.create ~heap () in
+      dev := Some d;
+      Device.launch d ~n_threads:2048 busy_kernel;
+      Device.launch d ~n_threads:2048 busy_kernel;
+      (match Device.launch d ~n_threads:64 (fun _ -> raise Kernel_failed) with
+       | () -> Alcotest.fail "launch 3 should raise"
+       | exception Kernel_failed -> ());
+      check Alcotest.int "lane gave its core back" 1 (Cores.available ()));
+  check Alcotest.int "budget restored" Cores.initial (Cores.available ());
+  let d = Option.get !dev in
+  check Alcotest.int "two launches emitted" 2 (Device.launches d);
+  check Alcotest.int "both replayed" 2 (List.length (Device.kernel_timeline d))
+
+(* A device dropped without ever being read: its lane runs out of work
+   and gives its core back on its own. *)
+let test_lane_dropped_device () =
+  with_lane true (fun () ->
+      let heap = Page_store.create () in
+      let d = Device.create ~heap () in
+      Device.launch d ~n_threads:2048 busy_kernel;
+      Device.launch d ~n_threads:2048 busy_kernel);
+  let deadline = Unix.gettimeofday () +. 30. in
+  while Cores.available () <> Cores.initial && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  check Alcotest.int "budget restored" Cores.initial (Cores.available ())
+
 let test_ring_drop_oldest () =
   let r = Telemetry.Ring.create ~capacity:4 in
   Telemetry.Ring.begin_launch r ~base:0.;
@@ -723,9 +841,15 @@ let suite =
     Alcotest.test_case "replay matches frozen random-program digests" `Quick
       test_frozen_program_digests;
     Alcotest.test_case "ring drop-oldest spill" `Quick test_ring_drop_oldest;
+    Alcotest.test_case "seal stores coalesced sectors" `Quick
+      test_seal_stores_sectors;
+    Alcotest.test_case "replay lane: kernel raises while a launch replays"
+      `Quick test_lane_kernel_exception;
+    Alcotest.test_case "replay lane: dropped device frees its core" `Quick
+      test_lane_dropped_device;
     QCheck_alcotest.to_alcotest prop_coalesce_bounds;
     QCheck_alcotest.to_alcotest prop_coalesce_scratch_equiv;
-    QCheck_alcotest.to_alcotest prop_coalesce_unsafe_equiv;
     QCheck_alcotest.to_alcotest prop_telemetry_observation_only;
+    QCheck_alcotest.to_alcotest prop_lane_invisible;
     QCheck_alcotest.to_alcotest prop_cache_hits_bounded;
   ]

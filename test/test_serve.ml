@@ -90,6 +90,37 @@ let spec_roundtrip =
         | Ok spec' -> X.Request.Spec.equal spec spec'
         | Error _ -> false))
 
+(* --- line framing (property) ------------------------------------------------ *)
+
+(* A session frames the same lines however the stream is chunked: the
+   whole stream in one read, or any split into reads (a CRLF split across
+   two reads included). *)
+let feed_chunking =
+  let gen =
+    let open QCheck.Gen in
+    let* text =
+      string_size ~gen:(oneofl [ 'a'; 'b'; '{'; '\n'; '\r'; ' ' ]) (int_range 0 200)
+    in
+    let* cuts = list_size (int_range 0 20) (int_range 0 (String.length text)) in
+    return (text, List.sort_uniq compare cuts)
+  in
+  QCheck.Test.make ~count:300 ~name:"session framing is chunking-invariant"
+    (QCheck.make ~print:(fun (t, _) -> String.escaped t) gen)
+    (fun (text, cuts) ->
+      let r, w = Unix.pipe () in
+      let whole = X.Session.create ~id:0 r and split = X.Session.create ~id:1 r in
+      let all = X.Session.feed whole text in
+      let bounds = (0 :: cuts) @ [ String.length text ] in
+      let rec pieces = function
+        | a :: (b :: _ as rest) -> String.sub text a (b - a) :: pieces rest
+        | _ -> []
+      in
+      let got = List.concat_map (X.Session.feed split) (pieces bounds) in
+      Unix.close r;
+      Unix.close w;
+      all = got
+      && Buffer.contents whole.X.Session.buf = Buffer.contents split.X.Session.buf)
+
 (* --- request round-trip --------------------------------------------------- *)
 
 let sample_specs =
@@ -726,6 +757,7 @@ let suite =
     Alcotest.test_case "technique codec is total" `Quick
       test_technique_codec_total;
     QCheck_alcotest.to_alcotest spec_roundtrip;
+    QCheck_alcotest.to_alcotest feed_chunking;
     Alcotest.test_case "request round-trip" `Quick test_request_roundtrip;
     Alcotest.test_case "response round-trip" `Quick test_response_roundtrip;
     Alcotest.test_case "run is bit-exact on the wire" `Quick

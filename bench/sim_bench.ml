@@ -1,8 +1,8 @@
 (* Replay-throughput benchmark for the SoA trace engine.
 
-   For every (workload, technique) cell of the paper matrix — plus the
-   DYNA column (CUDA dispatch over DynaSOAr SoA blocks) — this runs the
-   functional phase once with trace retention on, then re-times the
+   For every job of the sweep matrix ([Sweep.jobs]: the paper's five
+   columns plus DYNA, CUDA dispatch over DynaSOAr SoA blocks) this runs
+   the functional phase once with trace retention on, then re-times the
    retained traces through a fresh memory hierarchy several times,
    reporting simulated instructions and cycles per wall-second and minor
    words allocated per replayed instruction (the zero-allocation
@@ -33,6 +33,8 @@
 module G = Repro_gpu
 module R = Repro_core
 module W = Repro_workloads
+module X = Repro_exec
+module E = Repro_experiments
 module O = Repro_obs
 module Rng = Repro_util.Rng
 
@@ -165,16 +167,13 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   { job; launches = List.length launches; instrs; cycles; wall_s; minor_words;
     tel_wall_s; vm_wall_s; dedup }
 
-let workload_job ?alloc (w : W.Workload.t) technique =
-  (* Built with translation on so the runtime assembles the job's real
-     page table (coalesce policy, the allocator's contiguity report);
-     the plain and tracer passes below use their own untranslated
-     hierarchies, so their numbers are unaffected. *)
-  let params =
-    { (W.Workload.default_params technique) with
-      scale; alloc; pages = Some Repro_vm.Policy.Coalesce }
-  in
-  let inst = w.W.Workload.build params in
+(* [job] is built with translation on so the runtime assembles the
+   job's real page table (coalesce policy, the allocator's contiguity
+   report); the plain and tracer passes below use their own untranslated
+   hierarchies, so their numbers are unaffected. *)
+let workload_job (job : X.Job.t) =
+  let w = job.X.Job.workload and technique = job.X.Job.technique in
+  let inst = w.W.Workload.build job.X.Job.params in
   let dev = R.Runtime.device inst.W.Workload.rt in
   G.Device.retain_traces dev true;
   for i = 0 to inst.W.Workload.iterations - 1 do
@@ -189,7 +188,7 @@ let workload_job ?alloc (w : W.Workload.t) technique =
     | None -> assert false
   in
   let column =
-    match alloc with
+    match job.X.Job.params.W.Workload.alloc with
     | None -> R.Technique.name technique
     | Some fam -> String.lowercase_ascii (R.Alloc_family.column_name technique fam)
   in
@@ -279,11 +278,8 @@ let () =
   in
   emit (canned_job ());
   List.iter
-    (fun (w : W.Workload.t) ->
-      List.iter (fun t -> emit (workload_job w t)) R.Technique.all_paper;
-      (* The sixth sweep column: CUDA dispatch over DynaSOAr SoA blocks. *)
-      emit (workload_job ~alloc:R.Alloc_family.Dyna_soa w R.Technique.Cuda))
-    W.Registry.all;
+    (fun job -> emit (workload_job job))
+    (E.Sweep.jobs ~scale ~pages:Repro_vm.Policy.Coalesce ());
   let results = List.rev !results in
   let total_instrs =
     List.fold_left (fun a r -> a + (r.instrs * reps)) 0 results

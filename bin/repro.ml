@@ -5,10 +5,20 @@
      repro profile -w TRAF -t tp        per-kernel counter timeline
      repro trace TRAF tp                Chrome-trace export (Perfetto)
      repro compare -w GOL               one workload under all techniques
-     repro figure 6                     regenerate a figure (1b, 6..12b)
+     repro check --all                  sanitizer and dispatch oracle
+     repro figure 6                     regenerate a figure (1b, 6..12b, tlb)
      repro table 2                      regenerate a table (1 or 2)
      repro sweep                        the full job matrix, with timings
      repro init                         the Sec. 8.2 allocation comparison
+     repro serve / submit / ctl         the daemon and its clients
+
+   Jobs come from two places only. A command that names jobs takes the
+   one spec term ([spec_term]: --alloc/--pages/-s/--seed/-i) plus its own
+   -w/-t shape, and resolves each name through [Request.Spec] — the same
+   path the daemon takes for a wire spec. A command that wants the whole
+   matrix (sweep, submit --all, the figures and tables) asks
+   [Sweep.jobs]/[Sweep.exec] for it. Either way the job keys, and so the
+   cache entries, agree.
 
    Measurement commands take -j N (parallel sweep over N domains; the
    output is byte-identical at any N) and cache results on disk so that
@@ -27,10 +37,10 @@ module Series = Repro_report.Series
 
 open Cmdliner
 
-(* Workload/technique names are resolved in the command body, not by an
-   [Arg.conv]: an unknown name is a user mistake, not a malformed command
-   line, so it gets a short message listing the valid names and exit
-   code 2 instead of cmdliner's usage dump. *)
+(* Names are resolved in the command body by the library's parsers, not
+   by an [Arg.conv]: an unknown name is a user mistake, not a malformed
+   command line, so it gets the library's message listing the valid
+   names and exit code 2 instead of cmdliner's usage dump. *)
 
 let cli_error fmt =
   Printf.ksprintf
@@ -39,28 +49,7 @@ let cli_error fmt =
       exit 2)
     fmt
 
-let technique_names = X.Request.technique_names
-
-let resolve_technique s =
-  match T.of_string s with
-  | Ok t -> t
-  | Error _ ->
-    cli_error "unknown technique %S; valid techniques: %s" s
-      (String.concat ", " technique_names)
-
-let resolve_workload s =
-  match W.Registry.find s with
-  | Some w -> w
-  | None ->
-    cli_error "unknown workload %S; valid workloads: %s" s
-      (String.concat ", " (List.map W.Registry.qualified_name W.Registry.all))
-
-let resolve_alloc s =
-  match A.of_string s with
-  | Ok fam -> fam
-  | Error _ ->
-    cli_error "unknown allocator family %S; valid families: %s" s
-      (String.concat ", " A.all_names)
+let or_exit = function Ok v -> v | Error msg -> cli_error "%s" msg
 
 let alloc_arg =
   Arg.(value & opt (some string) None & info [ "alloc" ] ~docv:"FAMILY"
@@ -68,28 +57,22 @@ let alloc_arg =
                technique's paper allocator -- the SharedOA heap for \
                shard/coal/tp, the device heap for cuda/con).")
 
-(* [resolve_pages] validates eagerly so a typo exits 2 with the policy
-   list; "none"/"off" resolve to [None] (translation off), matching the
-   spec layer's canonicalization. *)
-let resolve_pages s =
-  match Repro_vm.Policy.parse s with
-  | Ok p -> p
-  | Error _ ->
-    cli_error "unknown page policy %S; valid policies: %s" s
-      (String.concat ", " Repro_vm.Policy.cli_names)
-
-(* The canonical wire spelling for a spec ("none" when translation is
-   off; [Spec.make] maps it back to the absent field). *)
-let canonical_pages s =
-  match resolve_pages s with
-  | None -> "none"
-  | Some p -> Repro_vm.Policy.name p
-
 let pages_arg =
   Arg.(value & opt (some string) None & info [ "pages" ] ~docv:"POLICY"
          ~doc:"Address-translation page-size policy: none | flat-4k | \
                flat-2m | coalesce (default: none -- translation off, the \
                TLB model fully out of the measured path).")
+
+(* --alloc (whichever of its docs a command shows) and --pages, parsed
+   as the command line is read, so a typo exits 2 before anything runs
+   (figure parses its own late; see there). *)
+let parse_family a = Option.map (fun s -> or_exit (A.of_string s)) a
+
+let family arg = Term.(const parse_family $ arg)
+
+let parse_pages p = Option.bind p (fun s -> or_exit (Repro_vm.Policy.parse s))
+
+let policy = Term.(const parse_pages $ pages_arg)
 
 let scale_arg =
   Arg.(value & opt float E.Sweep.default_scale & info [ "s"; "scale" ] ~docv:"SCALE"
@@ -129,27 +112,54 @@ let csv_arg =
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"PATH"
          ~doc:"Also write the data behind the text output as CSV to $(docv).")
 
-(* All job construction funnels through [Request.Spec] — the same
-   plain-data description the serve protocol carries — so the CLI, the
-   daemon and the bench resolve names and defaults identically. *)
+(* --- the one spec term --------------------------------------------------- *)
 
-let spec_of ?alloc ?pages ~workload ~technique ~scale ~seed ~iterations () =
-  (* Resolve --alloc/--pages here so a typo exits 2 with the valid-name
-     list, and the spec carries the canonical name. *)
-  let alloc = Option.map (fun s -> A.name (resolve_alloc s)) alloc in
-  let pages = Option.map canonical_pages pages in
-  X.Request.Spec.make ?alloc ?pages ?iterations ~scale ~seed ~workload
-    ~technique ()
+(* Everything about a job except which workload and technique: the
+   numbers and overrides that run, profile, trace, check, ctl and submit
+   all take. Each command supplies its own -w/-t shape and turns names
+   into jobs with [job]. *)
+type spec = {
+  alloc : A.t option;
+  pages : Repro_vm.Policy.t option;
+  scale : float;
+  seed : int;
+  iterations : int option;
+}
 
-let resolve_spec spec =
-  match X.Request.Spec.resolve spec with
-  | Ok job -> job
-  | Error msg -> cli_error "%s" msg
+let spec_term =
+  Term.(const (fun alloc pages scale seed iterations ->
+            { alloc; pages; scale; seed; iterations })
+        $ family alloc_arg $ policy $ scale_arg $ seed_arg $ iterations_arg)
 
-let params_of spec =
-  match X.Request.Spec.to_params spec with
-  | Ok p -> p
-  | Error msg -> cli_error "%s" msg
+let wire s ~workload ~technique =
+  X.Request.Spec.make
+    ?alloc:(Option.map A.name s.alloc)
+    ?pages:(Option.map Repro_vm.Policy.name s.pages)
+    ?iterations:s.iterations ~scale:s.scale ~seed:s.seed ~workload ~technique
+    ()
+
+(* Names become jobs only here, resolved by [Request.Spec] as the daemon
+   resolves a wire spec. *)
+let resolve spec = or_exit (X.Request.Spec.resolve spec)
+
+let job s ~workload ~technique = resolve (wire s ~workload ~technique)
+
+let workload_doc = "Workload name (see $(b,repro list))."
+
+let technique_doc = "cuda | con | shard | coal | tp | tp-hw | tp/cuda."
+
+(* The -w NAME / -t TECH pair of run and profile. *)
+let named_job =
+  let workload =
+    Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME"
+           ~doc:workload_doc)
+  in
+  let technique =
+    Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
+           ~doc:technique_doc)
+  in
+  Term.(const (fun workload technique s -> job s ~workload ~technique)
+        $ workload $ technique $ spec_term)
 
 (* --timeline / --window, shared by run and profile. *)
 
@@ -243,20 +253,7 @@ let list_cmd =
 (* --- run ----------------------------------------------------------------- *)
 
 let run_cmd =
-  let workload =
-    Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Workload name (see $(b,repro list)).")
-  in
-  let technique =
-    Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
-           ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
-  in
-  let run w t alloc pages scale seed iterations timeline window =
-    let job =
-      resolve_spec
-        (spec_of ?alloc ?pages ~workload:w ~technique:t ~scale ~seed
-           ~iterations ())
-    in
+  let run job timeline window =
     let p =
       { job.X.Job.params with
         W.Workload.telemetry = sampling_config timeline window }
@@ -271,25 +268,12 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one technique and print its profile.")
-    Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ scale_arg
-          $ seed_arg $ iterations_arg $ timeline_arg $ window_arg)
+    Term.(const run $ named_job $ timeline_arg $ window_arg)
 
 (* --- profile --------------------------------------------------------------- *)
 
 let profile_cmd =
-  let workload =
-    Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Workload name (see $(b,repro list)).")
-  in
-  let technique =
-    Arg.(value & opt string "shard" & info [ "t"; "technique" ] ~docv:"TECH"
-           ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
-  in
-  let run w t alloc pages scale seed iterations timeline window json csv =
-    let job =
-      resolve_spec
-        (spec_of ?alloc ?pages ~workload:w ~technique:t ~scale ~seed ~iterations ())
-    in
+  let run job timeline window json csv =
     let p =
       { job.X.Job.params with
         W.Workload.telemetry = sampling_config timeline window }
@@ -366,20 +350,17 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Run one workload under one technique and print its per-kernel \
              counter timeline (the simulator's nvprof).")
-    Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ scale_arg
-          $ seed_arg $ iterations_arg $ timeline_arg $ window_arg $ json_arg
-          $ csv_arg)
+    Term.(const run $ named_job $ timeline_arg $ window_arg $ json_arg $ csv_arg)
 
 (* --- trace ----------------------------------------------------------------- *)
 
 let trace_cmd =
   let workload =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
-           ~doc:"Workload name (see $(b,repro list)).")
+           ~doc:workload_doc)
   in
   let technique =
-    Arg.(value & pos 1 string "shard" & info [] ~docv:"TECH"
-           ~doc:"cuda | con | shard | coal | tp | tp-hw | tp/cuda.")
+    Arg.(value & pos 1 string "shard" & info [] ~docv:"TECH" ~doc:technique_doc)
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -394,11 +375,8 @@ let trace_cmd =
   let sanitize name =
     String.map (fun c -> if c = '/' || c = ' ' then '_' else c) name
   in
-  let run w t alloc pages scale seed iterations window capacity out =
-    let job =
-      resolve_spec
-        (spec_of ?alloc ?pages ~workload:w ~technique:t ~scale ~seed ~iterations ())
-    in
+  let run workload technique s window capacity out =
+    let job = job s ~workload ~technique in
     let column = X.Job.column_name job in
     if capacity <= 0 then cli_error "capacity must be positive, got %d" capacity;
     let p =
@@ -459,8 +437,8 @@ let trace_cmd =
              and export a Chrome trace-event JSON (Perfetto-loadable): one \
              track per SM (stall intervals, L1), plus L2, DRAM, kernel \
              spans and windowed counter tracks.")
-    Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ scale_arg
-          $ seed_arg $ iterations_arg $ window_arg $ capacity $ out)
+    Term.(const run $ workload $ technique $ spec_term $ window_arg $ capacity
+          $ out)
 
 (* --- compare --------------------------------------------------------------- *)
 
@@ -468,12 +446,13 @@ let compare_cmd =
   let workload =
     Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME")
   in
-  let run w scale seed iterations json =
-    let base =
-      params_of (spec_of ~workload:w ~technique:"shard" ~scale ~seed ~iterations ())
+  let run workload scale seed iterations json =
+    let job =
+      job { alloc = None; pages = None; scale; seed; iterations } ~workload
+        ~technique:"shard"
     in
-    let w = resolve_workload w in
-    let runs = W.Harness.run_techniques w base T.all_paper in
+    let w = job.X.Job.workload in
+    let runs = W.Harness.run_techniques w job.X.Job.params T.all_paper in
     List.iter (fun (_, r) -> print_run r) runs;
     let base = W.Harness.find runs ~technique:T.Shared_oa in
     (match base with
@@ -520,24 +499,11 @@ let compare_cmd =
 
 (* --- figure / table --------------------------------------------------------- *)
 
-(* The figure/table sweep. --alloc picks the family of the extra
-   CUDA-dispatch comparison column appended to the five paper techniques
-   (default: dyna); naming the device heap's own family drops the extra
-   column and reproduces the paper's original five. *)
-let sweep_columns alloc =
-  let paper = List.map E.Sweep.column T.all_paper in
-  match alloc with
-  | None -> E.Sweep.default_columns
-  | Some name ->
-    let fam = resolve_alloc name in
-    if A.is_default T.Cuda fam then paper
-    else paper @ [ E.Sweep.column ~alloc:fam T.Cuda ]
-
-let sweep_of ?alloc ?pages scale j cache cache_dir =
-  let pages = Option.bind pages resolve_pages in
+(* The figure/table sweep over [columns] (default: the paper's five
+   plus DYNA), with its one-line cache summary on stderr. *)
+let sweep_of ?columns ?pages scale j cache cache_dir =
   let sweep =
-    E.Sweep.exec ~columns:(sweep_columns alloc) ?pages ~scale ~j ~cache
-      ?cache_dir
+    E.Sweep.exec ?columns ?pages ~scale ~j ~cache ?cache_dir
       ~progress:(fun label -> Printf.eprintf "  %s...\n%!" label)
       ()
   in
@@ -563,7 +529,16 @@ let figure_cmd =
   in
   let run which alloc pages scale j no_cache cache_dir json csv =
     let cache = not no_cache in
-    let sweep () = sweep_of ?alloc ?pages scale j cache cache_dir in
+    (* --alloc picks the family of the extra CUDA-dispatch column;
+       naming the device heap's own family drops it. Both --alloc and
+       --pages stay raw strings until a figure that takes them parses
+       them, so the figures that do not reject any value, "none"
+       included. *)
+    let columns () = Option.map E.Sweep.with_cuda_column (parse_family alloc) in
+    let sweep () =
+      sweep_of ?columns:(columns ()) ?pages:(parse_pages pages) scale j cache
+        cache_dir
+    in
     let reject_alloc which =
       if alloc <> None then
         cli_error "figure %s has a fixed column set; --alloc does not apply"
@@ -615,8 +590,7 @@ let figure_cmd =
            contradict the comparison. *)
         reject_pages "tlb" "sweeps every page policy";
         let t =
-          E.Fig_tlb.run ~columns:(sweep_columns alloc) ~scale ~j ~cache
-            ?cache_dir
+          E.Fig_tlb.run ?columns:(columns ()) ~scale ~j ~cache ?cache_dir
             ~progress:(fun label -> Printf.eprintf "  %s...\n%!" label)
             ()
         in
@@ -636,8 +610,8 @@ let figure_cmd =
        ~doc:"Regenerate one of the paper's figures, or $(b,tlb): the \
              repo's page-walk-overhead comparison across page-size \
              policies.")
-    Term.(const run $ which $ figure_alloc $ pages_arg $ scale_arg $ jobs_arg
-          $ no_cache_arg $ cache_dir_arg $ json_arg $ csv_arg)
+    Term.(const run $ which $ figure_alloc $ pages_arg $ scale_arg
+          $ jobs_arg $ no_cache_arg $ cache_dir_arg $ json_arg $ csv_arg)
 
 let table1_json sweep =
   O.Json.Obj
@@ -820,19 +794,22 @@ let check_cmd =
                  dead, $(b,range) skews COAL's range-table leaves. The \
                  matching detector must fire, so the command exits 1.")
   in
-  let run w t alloc pages all mutate scale seed iterations j json =
-    let workloads =
+  let run w t s all mutate j json =
+    let workload =
       match (w, all) with
       | Some _, true -> cli_error "pass either -w NAME or --all, not both"
-      | Some name, false -> [ resolve_workload name ]
-      | None, true -> W.Registry.all
+      | Some name, false -> name
+      | None, true -> W.Registry.qualified_name (List.hd W.Registry.all)
       | None, false ->
         cli_error "nothing to check: pass -w NAME or --all"
     in
+    (* [Check.run] overrides the technique per checked job. *)
+    let job = job s ~workload ~technique:"cuda" in
+    let workloads = if all then W.Registry.all else [ job.X.Job.workload ] in
     let techniques =
       match t with
       | None -> T.all_paper
-      | Some name -> [ resolve_technique name ]
+      | Some name -> [ or_exit (X.Request.technique_of_string name) ]
     in
     let mutation =
       Option.map
@@ -844,13 +821,10 @@ let check_cmd =
               (String.concat ", " Repro_san.Mutation.names))
         mutate
     in
-    let params =
-      params_of
-        (spec_of ?alloc ?pages
-           ~workload:(W.Registry.qualified_name (List.hd workloads))
-           ~technique:"cuda" ~scale ~seed ~iterations ())
+    let reports =
+      X.Check.run ~jobs:j ?mutation ~techniques ~params:job.X.Job.params
+        workloads
     in
-    let reports = X.Check.run ~jobs:j ?mutation ~techniques ~params workloads in
     List.iter (Format.printf "%a@." X.Check.pp_report) reports;
     let clean = X.Check.all_clean reports in
     Printf.printf "check: %s (%d workload(s) x %d technique(s))\n"
@@ -859,7 +833,7 @@ let check_cmd =
       (List.length
          (match reports with r :: _ -> r.X.Check.techniques | [] -> []));
     Option.iter
-      (fun path -> write_json path (check_json ~scale ~mutation reports))
+      (fun path -> write_json path (check_json ~scale:s.scale ~mutation reports))
       json;
     if not clean then exit 1
   in
@@ -868,8 +842,8 @@ let check_cmd =
        ~doc:"Run the shadow-heap sanitizer and the cross-technique \
              dispatch oracle: every access checked against the shadow \
              map, every dispatch compared with the CUDA reference.")
-    Term.(const run $ workload $ technique $ alloc_arg $ pages_arg $ all
-          $ mutate $ scale_arg $ seed_arg $ iterations_arg $ jobs_arg $ json_arg)
+    Term.(const run $ workload $ technique $ spec_term $ all $ mutate
+          $ jobs_arg $ json_arg)
 
 (* --- sweep ----------------------------------------------------------------- *)
 
@@ -909,36 +883,11 @@ let print_outcome_rows rows =
           wall_s "-" msg)
     rows
 
-(* The sweep job matrix. Default: the five paper techniques on their own
-   allocators plus the DYNA column, matching [Sweep.default_columns] so
-   figure/table regeneration hits the same cache entries. --alloc FAMILY
-   instead runs every technique over that one family. *)
-let sweep_specs ?alloc ?pages ~scale () =
-  let workloads = List.map W.Registry.qualified_name W.Registry.all in
-  let techniques = List.map X.Request.technique_to_string T.all_paper in
-  let pages = Option.map canonical_pages pages in
-  match alloc with
-  | Some name ->
-    let alloc = A.name (resolve_alloc name) in
-    X.Request.Spec.matrix ~workloads ~techniques
-      ~base:
-        (X.Request.Spec.make ~alloc ?pages ~scale ~workload:"" ~technique:"" ())
-  | None ->
-    let base =
-      X.Request.Spec.make ?pages ~scale ~workload:"" ~technique:"" ()
-    in
-    List.concat_map
-      (fun workload ->
-        List.map
-          (fun technique -> { base with X.Request.Spec.workload; technique })
-          techniques
-        @ [
-            { base with
-              X.Request.Spec.workload;
-              technique = X.Request.technique_to_string T.Cuda;
-              alloc = Some (A.name A.Dyna_soa) };
-          ])
-      workloads
+(* The job matrix of sweep and submit --all: the default columns, or
+   with --alloc FAMILY every technique over that one family. *)
+let matrix ?alloc ?pages ?seed ?iterations scale =
+  E.Sweep.jobs ?columns:(Option.map E.Sweep.over_family alloc) ?pages ?seed
+    ?iterations ~scale ()
 
 let sweep_cmd =
   let clear =
@@ -951,9 +900,7 @@ let sweep_cmd =
     if clear then
       Printf.eprintf "cleared %d cached result(s) from %s\n%!"
         (X.Cache.clear ~dir) dir;
-    let jobs =
-      List.map resolve_spec (sweep_specs ?alloc ?pages ~scale ())
-    in
+    let jobs = matrix ?alloc ?pages scale in
     let t0 = Unix.gettimeofday () in
     let outcomes = X.Executor.run ~jobs:j ~cache ~cache_dir:dir jobs in
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -1006,7 +953,7 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Run the full job matrix (the five paper columns plus DYNA) \
              and print per-job status, wall time and cache hits.")
-    Term.(const run $ sweep_alloc $ pages_arg $ scale_arg $ jobs_arg
+    Term.(const run $ family sweep_alloc $ policy $ scale_arg $ jobs_arg
           $ no_cache_arg $ cache_dir_arg $ clear $ quiet_arg $ json_arg)
 
 (* --- serve / submit / ctl --------------------------------------------------- *)
@@ -1123,13 +1070,17 @@ let submit_cmd =
     Arg.(value & flag & info [ "all" ]
            ~doc:"Submit the full 11x5 matrix ($(b,repro sweep)'s job list).")
   in
-  let run socket ws ts alloc pages all scale seed iterations no_cache quiet
-      json =
-    let specs =
+  let run socket ws ts s all no_cache quiet json =
+    (* Jobs are resolved locally first: a typo fails here with the usual
+       message instead of as a daemon-side batch rejection — and the spec
+       goes out normalized (qualified workload, canonical technique
+       name), so outcomes echo the same names `repro sweep` prints. *)
+    let jobs =
       if all then begin
         if ws <> [] || ts <> [] then
           cli_error "pass either --all or -w/-t, not both";
-        sweep_specs ?alloc ?pages ~scale ()
+        matrix ?alloc:s.alloc ?pages:s.pages ~seed:s.seed
+          ?iterations:s.iterations s.scale
       end
       else if ws = [] then
         cli_error "nothing to submit: pass -w NAME (repeatable) or --all"
@@ -1138,18 +1089,10 @@ let submit_cmd =
           if ts = [] then List.map X.Request.technique_to_string T.all_paper
           else ts
         in
-        let alloc = Option.map (fun s -> A.name (resolve_alloc s)) alloc in
-        let pages = Option.map canonical_pages pages in
-        X.Request.Spec.matrix ~workloads:ws ~techniques:ts
-          ~base:
-            (X.Request.Spec.make ?alloc ?pages ~scale ~seed ?iterations
-               ~workload:"" ~technique:"" ())
+        List.map resolve
+          (X.Request.Spec.matrix ~workloads:ws ~techniques:ts
+             ~base:(wire s ~workload:"" ~technique:""))
     in
-    (* Resolve locally first: a typo fails here with the usual message
-       instead of as a daemon-side batch rejection — and the spec goes
-       out normalized (qualified workload, canonical technique name), so
-       outcomes echo the same names `repro sweep` prints. *)
-    let jobs = List.map resolve_spec specs in
     let specs = List.map X.Request.Spec.of_job jobs in
     let specs_arr = Array.of_list specs in
     let n = Array.length specs_arr in
@@ -1210,7 +1153,7 @@ let submit_cmd =
         write_json path
           (O.Json.Obj
              [
-               ("scale", O.Json.Float scale);
+               ("scale", O.Json.Float s.scale);
                ("jobs", O.Json.Int jobs);
                ("measured", O.Json.Int measured);
                ("cached", O.Json.Int cached);
@@ -1229,8 +1172,7 @@ let submit_cmd =
              stream per-job progress, and print the sweep-style table. \
              Results are byte-identical to running the same jobs \
              in-process.")
-    Term.(const run $ socket_arg $ workloads $ techniques $ alloc_arg
-          $ pages_arg $ all $ scale_arg $ seed_arg $ iterations_arg
+    Term.(const run $ socket_arg $ workloads $ techniques $ spec_term $ all
           $ no_cache_arg $ quiet_arg $ json_arg)
 
 let ctl_cmd =
@@ -1261,12 +1203,10 @@ let ctl_cmd =
     Arg.(value & flag & info [ "all" ]
            ~doc:"With $(b,invalidate): drop the daemon's whole result cache.")
   in
-  let run socket action w t alloc pages scale seed iterations all as_json out
-      =
+  let run socket action w technique s all as_json out =
     let spec_for verb =
       match w with
-      | Some workload ->
-        spec_of ?alloc ?pages ~workload ~technique:t ~scale ~seed ~iterations ()
+      | Some workload -> X.Request.Spec.of_job (job s ~workload ~technique)
       | None -> cli_error "%s needs -w NAME (and -t TECH)" verb
     in
     let client = connect socket in
@@ -1380,9 +1320,8 @@ let ctl_cmd =
        ~doc:"Poke a running $(b,repro serve) daemon: liveness and health, \
              scheduler counters and per-stage latency histograms, request \
              traces, cache probes and invalidation, shutdown.")
-    Term.(const run $ socket_arg $ action $ workload $ technique $ alloc_arg
-          $ pages_arg $ scale_arg $ seed_arg $ iterations_arg $ all
-          $ as_json $ out)
+    Term.(const run $ socket_arg $ action $ workload $ technique $ spec_term
+          $ all $ as_json $ out)
 
 let () =
   let doc = "Reproduction of 'Judging a Type by Its Pointer' (ASPLOS '21)." in

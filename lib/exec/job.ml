@@ -7,16 +7,19 @@ type t = {
   params : W.Workload.params;
 }
 
+(* Naming the technique's own allocator family is the same run as
+   leaving it out; canonicalize to [None] here, where every job is made,
+   so the key (and so the result cache) agrees whichever way a surface
+   spelled it. *)
 let make workload (params : W.Workload.params) =
-  { workload; technique = params.W.Workload.technique; params }
-
-let matrix ~techniques ~params workloads =
-  List.concat_map
-    (fun w ->
-      List.map
-        (fun technique -> make w { params with W.Workload.technique })
-        techniques)
-    workloads
+  let technique = params.W.Workload.technique in
+  let params =
+    match params.W.Workload.alloc with
+    | Some fam when Repro_core.Alloc_family.is_default technique fam ->
+      { params with W.Workload.alloc = None }
+    | _ -> params
+  in
+  { workload; technique; params }
 
 let workload_name t = W.Registry.qualified_name t.workload
 

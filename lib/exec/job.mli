@@ -13,15 +13,9 @@ type t = private {
 }
 
 val make : Repro_workloads.Workload.t -> Repro_workloads.Workload.params -> t
-(** The technique is taken from [params.technique]. *)
-
-val matrix :
-  techniques:Repro_core.Technique.t list ->
-  params:Repro_workloads.Workload.params ->
-  Repro_workloads.Workload.t list ->
-  t list
-(** Workload-major cross product: all techniques of the first workload,
-    then all of the second, ... — the canonical sweep order. *)
+(** The technique is taken from [params.technique]. An [alloc] naming
+    the technique's own family ({!Repro_core.Alloc_family.is_default})
+    is stored as [None]: the same run, so the same {!key}. *)
 
 val workload_name : t -> string
 (** Qualified ["suite/name"]. *)

@@ -54,8 +54,8 @@ module Spec = struct
   let make ?alloc ?(scale = default_scale) ?(seed = default_seed) ?iterations
       ?chunk_objs ?pages ~workload ~technique () =
     (* "none" (the CLI's explicit default) and omission are the same run;
-       canonicalize so the job key and cache agree — the [alloc]
-       canonicalization below plays the same trick. *)
+       canonicalize so the job key and cache agree — [Job.make] plays
+       the same trick on a technique's own allocator family. *)
     let pages = match pages with Some "none" -> None | p -> p in
     { workload; technique; alloc; scale; seed; iterations; chunk_objs; pages }
 
@@ -89,15 +89,6 @@ module Spec = struct
       match alloc with
       | Error _ as e -> e
       | Ok alloc -> (
-        (* Naming the technique's own family explicitly is the same run as
-           leaving it out; canonicalize to [None] so the job key (and so
-           the result cache) agrees. *)
-        let alloc =
-          match alloc with
-          | Some fam when Repro_core.Alloc_family.is_default technique fam ->
-            None
-          | a -> a
-        in
         let pages =
           match t.pages with
           | None -> Ok None

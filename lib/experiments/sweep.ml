@@ -10,11 +10,19 @@ let column ?alloc technique =
 
 let column_name c = A.column_name c.technique c.alloc
 
+let paper_columns = List.map (fun t -> column t) T.all_paper
+
+let over_family fam = List.map (column ~alloc:fam) T.all_paper
+
+(* The extra column goes last so default-family lookups by technique
+   keep finding the paper run first. *)
+let with_cuda_column fam =
+  if A.is_default T.Cuda fam then paper_columns
+  else paper_columns @ [ column ~alloc:fam T.Cuda ]
+
 (* The paper's five columns plus the DynaSOAr SoA family over CUDA
-   dispatch — appended last so default-family lookups by technique keep
-   finding the paper run first. *)
-let default_columns =
-  List.map (fun t -> column t) T.all_paper @ [ column ~alloc:A.Dyna_soa T.Cuda ]
+   dispatch. *)
+let default_columns = with_cuda_column A.Dyna_soa
 
 type t = {
   outcomes : X.Executor.outcome list;
@@ -25,26 +33,27 @@ type t = {
 
 let default_scale = W.Workload.default_scale
 
-let exec ?(scale = default_scale) ?iterations ?(j = 1) ?(cache = false)
-    ?cache_dir ?(progress = fun _ -> ()) ?(workloads = W.Registry.all)
-    ?(columns = default_columns) ?pages () =
+let jobs ?(scale = default_scale) ?seed ?iterations ?pages
+    ?(workloads = W.Registry.all) ?(columns = default_columns) () =
   let params c =
+    let p = W.Workload.default_params c.technique in
     {
-      (W.Workload.default_params c.technique) with
+      p with
       W.Workload.scale;
+      seed = Option.value seed ~default:p.W.Workload.seed;
       iterations;
       pages;
-      (* Default families stay [None] so the job key (and cache entry) is
-         the same whether the run came from a technique-only or a
-         column-aware surface. *)
-      alloc = (if A.is_default c.technique c.alloc then None else Some c.alloc);
+      alloc = Some c.alloc;
     }
   in
-  let jobs =
-    List.concat_map
-      (fun w -> List.map (fun c -> X.Job.make w (params c)) columns)
-      workloads
-  in
+  List.concat_map
+    (fun w -> List.map (fun c -> X.Job.make w (params c)) columns)
+    workloads
+
+let exec ?scale ?iterations ?(j = 1) ?(cache = false) ?cache_dir
+    ?(progress = fun _ -> ()) ?(workloads = W.Registry.all)
+    ?(columns = default_columns) ?pages () =
+  let jobs = jobs ?scale ?iterations ?pages ~workloads ~columns () in
   let outcomes =
     X.Executor.run ~jobs:j ~cache ?cache_dir
       ~progress:(fun job -> progress (X.Job.label job))

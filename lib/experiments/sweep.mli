@@ -9,10 +9,10 @@
     family, the sixth column the repo adds as a comparison platform.
 
     Built on {!Repro_exec}: the sweep is a workload-major job matrix
-    handed to the parallel executor. Results come back in matrix order
-    whatever the schedule, so figure output is byte-identical at any
-    [?j]; with the cache on, consecutive figure/table regenerations
-    measure once. *)
+    ({!jobs}) handed to the parallel executor. Results come back in
+    matrix order whatever the schedule, so figure output is
+    byte-identical at any [?j]; with the cache on, consecutive
+    figure/table regenerations measure once. *)
 
 type column = {
   technique : Repro_core.Technique.t;
@@ -28,7 +28,15 @@ val column_name : column -> string
     "DYNA". *)
 
 val default_columns : column list
-(** The paper's five plus DYNA (last). *)
+(** The paper's five plus DYNA (last): [with_cuda_column Dyna_soa]. *)
+
+val with_cuda_column : Repro_core.Alloc_family.t -> column list
+(** The paper's five plus CUDA dispatch over [fam] as a sixth column,
+    last; just the five when [fam] is CUDA's own family ([repro figure
+    --alloc]). *)
+
+val over_family : Repro_core.Alloc_family.t -> column list
+(** Every paper technique over one family ([repro sweep --alloc]). *)
 
 type t
 
@@ -36,6 +44,20 @@ val default_scale : float
 (** = {!Repro_workloads.Workload.default_scale} (0.25) — the repo-wide
     bare-sweep scale, shared with the wire protocol's absent-[scale]
     default. *)
+
+val jobs :
+  ?scale:float ->
+  ?seed:int ->
+  ?iterations:int ->
+  ?pages:Repro_vm.Policy.t ->
+  ?workloads:Repro_workloads.Workload.t list ->
+  ?columns:column list ->
+  unit -> Repro_exec.Job.t list
+(** The job matrix, workload-major: every column of the first workload,
+    then of the second, ... — the one place a columns × workloads matrix
+    is built, so [repro sweep], [repro submit --all], the figures and
+    the benches share job keys (and cache entries). Defaults as in
+    {!exec}; [seed] defaults to the workloads' default seed (42). *)
 
 val exec :
   ?scale:float ->
@@ -48,7 +70,8 @@ val exec :
   ?columns:column list ->
   ?pages:Repro_vm.Policy.t ->
   unit -> t
-(** Defaults: scale {!default_scale} (fast but representative; see
+(** {!jobs}, measured by {!Repro_exec.Executor.run}, then validated.
+    Defaults: scale {!default_scale} (fast but representative; see
     EXPERIMENTS.md),
     {!default_columns}, all eleven workloads, serial ([j = 1]), cache
     off, no address translation ([pages]). [progress] receives each

@@ -65,18 +65,13 @@ let sanitize t ~label ~width addrs =
 (* Tag stripping is fused into arena emission ([Trace.emit_mem]); the
    functional access reads the canonical addresses back from the arena
    slice just written, so no intermediate stripped array is built. *)
-let do_load t ~width ~blocking ~label addrs =
+let load ?(width = 8) t ~label addrs =
   check_width t addrs "load";
   sanitize t ~label ~width addrs;
-  let off = Trace.emit_load t.trace ~label ~blocking addrs in
+  let off = Trace.emit_load t.trace ~label ~blocking:true addrs in
   let arena = Trace.arena t.trace in
   Array.init (Array.length addrs) (fun i ->
       Page_store.load_byte_width t.heap arena.(off + i) ~width)
-
-let load ?(width = 8) t ~label addrs = do_load t ~width ~blocking:true ~label addrs
-
-let load_nonblocking ?(width = 8) t ~label addrs =
-  do_load t ~width ~blocking:false ~label addrs
 
 (* Scratch-buffer entry points: the caller (the object model's field
    path, Garray, Dispatch) computes canonical per-lane addresses into a

@@ -50,9 +50,6 @@ val load : ?width:int -> t -> label:Label.t -> int array -> int array
     narrower fields are how real object layouts pack, and the coalescer
     sees the true byte addresses. *)
 
-val load_nonblocking : ?width:int -> t -> label:Label.t -> int array -> int array
-(** Same, but the warp does not stall on the result (prefetch-like). *)
-
 val store : ?width:int -> t -> label:Label.t -> int array -> int array -> unit
 (** [store t ~label addrs values]; values are truncated to [width]. *)
 

@@ -78,6 +78,12 @@ let test_job_key_stability () =
   let cuda = X.Job.make gol (params ~scale:0.1 ~seed:1 T.Cuda) in
   check Alcotest.bool "allocator family changes the key" false
     (X.Job.equal dyna cuda);
+  let explicit =
+    X.Job.make gol
+      { (params ~scale:0.1 ~seed:1 T.Cuda) with W.Workload.alloc = Some A.Cuda }
+  in
+  check Alcotest.string "naming the technique's own family is the same key"
+    (X.Job.key cuda) (X.Job.key explicit);
   check Alcotest.bool "dyna job is cacheable" true (X.Job.cacheable dyna);
   check Alcotest.string "column name folds in the family" "DYNA"
     (X.Job.column_name dyna);
@@ -90,8 +96,8 @@ let small_matrix ~seed ~scale =
   let workloads =
     List.filter_map W.Registry.find [ "GOL"; "TRAF"; "GraphChi-vE/CC" ]
   in
-  X.Job.matrix ~techniques:[ T.Cuda; T.Coal ]
-    ~params:(params ~iterations:1 ~seed ~scale T.Cuda) workloads
+  E.Sweep.jobs ~scale ~seed ~iterations:1 ~workloads
+    ~columns:[ E.Sweep.column T.Cuda; E.Sweep.column T.Coal ] ()
 
 let test_parallel_equals_serial_qcheck () =
   let arb =

@@ -43,6 +43,49 @@ let test_sweep_contents () =
   check Alcotest.bool "dyna column is a distinct run" true
     (d.W.Harness.cycles > 0. && d.W.Harness.cycles <> r.W.Harness.cycles)
 
+(* Ordered [Job.key] lists of the job matrices, as MD5s, at scale 0.02.
+   Recorded from the code that built each matrix by hand before
+   [Sweep.jobs] was the one builder (the CLI's sweep spec list, its
+   --alloc variant, Fig. 11's private job list): the same keys in the
+   same order mean the same runs and the same cache entries. *)
+let frozen_matrix_keys =
+  let dyna = E.Sweep.over_family A.Dyna_soa in
+  let coalesce = Repro_vm.Policy.Coalesce in
+  [
+    ("default", 66, None, E.Sweep.default_columns,
+     "131e05be50dba336a1a03e0186a07514");
+    ("--alloc dyna", 55, None, dyna, "33c5aaef897deb47eabd1e1c65cc572d");
+    ("fig11", 33, None, E.Fig11.columns, "5c058713456b3338ac0b6ae03b6c0d95");
+    ("default --pages coalesce", 66, Some coalesce, E.Sweep.default_columns,
+     "b8e1e7a70072b555ee34573ab4c0a0af");
+    ("--alloc dyna --pages coalesce", 55, Some coalesce, dyna,
+     "3d47c25afe6ea75a2dcb5f9094c6c6f8");
+  ]
+
+let test_frozen_matrix_keys () =
+  List.iter
+    (fun (name, n, pages, columns, want) ->
+      let keys =
+        List.map Repro_exec.Job.key (E.Sweep.jobs ~scale:0.02 ?pages ~columns ())
+      in
+      check Alcotest.int (name ^ ": job count") n (List.length keys);
+      check Alcotest.string (name ^ ": key digest") want
+        (Digest.to_hex (Digest.string (String.concat "\n" keys))))
+    frozen_matrix_keys
+
+(* Every job of the matrix carries the seed and iteration count it was
+   asked for: [repro submit --all --seed 7 -i 2] sends exactly these. *)
+let test_matrix_carries_seed_and_iterations () =
+  let jobs = E.Sweep.jobs ~scale:0.02 ~seed:7 ~iterations:2 () in
+  check Alcotest.int "66 jobs" 66 (List.length jobs);
+  List.iter
+    (fun job ->
+      let key = Repro_exec.Job.key job in
+      let fields = String.split_on_char '|' key in
+      check Alcotest.bool (key ^ " carries seed 7 and 2 iterations") true
+        (List.mem "seed=7" fields && List.mem "iters=2" fields))
+    jobs
+
 let test_fig6_shape () =
   let points = E.Fig6.points (Lazy.force sweep) in
   let gm name = geomean points name in
@@ -188,6 +231,9 @@ let test_expectations_present () =
 
 let suite =
   [
+    Alcotest.test_case "frozen matrix job keys" `Quick test_frozen_matrix_keys;
+    Alcotest.test_case "matrix carries seed and iterations" `Quick
+      test_matrix_carries_seed_and_iterations;
     Alcotest.test_case "sweep contents" `Slow test_sweep_contents;
     Alcotest.test_case "fig6 shape" `Slow test_fig6_shape;
     Alcotest.test_case "fig7 shape" `Slow test_fig7_shape;

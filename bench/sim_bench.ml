@@ -5,8 +5,9 @@
    the functional phase once with trace retention on, then re-times the
    retained traces through a fresh memory hierarchy several times,
    reporting simulated instructions and cycles per wall-second and minor
-   words allocated per replayed instruction (the zero-allocation
-   invariant makes the last ~0). A synthetic canned-trace job with a
+   words allocated per replayed instruction, plain and translated (the
+   zero-allocation invariant makes both ~0, and equal up to per-launch
+   setup). A synthetic canned-trace job with a
    fixed instruction mix is included as a machine-independent reference
    point across commits.
 
@@ -73,6 +74,7 @@ type result = {
   minor_words : float;  (* for [reps] passes *)
   tel_wall_s : float;   (* same passes with the event tracer on *)
   vm_wall_s : float;    (* same passes with address translation on *)
+  vm_minor_words : float; (* for the translated passes *)
   dedup : float;        (* phase-1 interning ratio: warps / unique streams *)
 }
 
@@ -80,6 +82,7 @@ let minstr_per_s r = float_of_int (r.instrs * reps) /. r.wall_s /. 1e6
 let tel_minstr_per_s r = float_of_int (r.instrs * reps) /. r.tel_wall_s /. 1e6
 let mcyc_per_s r = r.cycles *. float_of_int reps /. r.wall_s /. 1e6
 let words_per_instr r = r.minor_words /. float_of_int (r.instrs * reps)
+let vm_words_per_instr r = r.vm_minor_words /. float_of_int (r.instrs * reps)
 
 let tracer_overhead_pct r =
   if r.wall_s <= 0. then 0.
@@ -159,13 +162,15 @@ let time_replay ~job ~cfg ~vm ?(dedup = 1.) launches =
   in
   replay_vm ();
   Gc.full_major ();
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
     replay_vm ()
   done;
   let vm_wall_s = Unix.gettimeofday () -. t0 in
+  let vm_minor_words = Gc.minor_words () -. w0 in
   { job; launches = List.length launches; instrs; cycles; wall_s; minor_words;
-    tel_wall_s; vm_wall_s; dedup }
+    tel_wall_s; vm_wall_s; vm_minor_words; dedup }
 
 (* [job] is built with translation on so the runtime assembles the
    job's real page table (coalesce policy, the allocator's contiguity
@@ -260,6 +265,7 @@ let result_json r =
       ("tracer_overhead_pct", O.Json.Float (tracer_overhead_pct r));
       ("vm_wall_s", O.Json.Float r.vm_wall_s);
       ("vm_overhead_pct", O.Json.Float (vm_overhead_pct r));
+      ("vm_minor_words_per_instr", O.Json.Float (vm_words_per_instr r));
       ("dedup_ratio", O.Json.Float r.dedup);
     ]
 
@@ -286,6 +292,9 @@ let () =
   in
   let total_wall = List.fold_left (fun a r -> a +. r.wall_s) 0. results in
   let total_words = List.fold_left (fun a r -> a +. r.minor_words) 0. results in
+  let total_vm_words =
+    List.fold_left (fun a r -> a +. r.vm_minor_words) 0. results
+  in
   let total_tel_wall =
     List.fold_left (fun a r -> a +. r.tel_wall_s) 0. results
   in
@@ -302,11 +311,13 @@ let () =
     else 0.
   in
   Printf.printf
-    "aggregate: %.2f Minstr/s over %d jobs, %.3f minor words/instr, \
-     tracer overhead %+.1f%%, translation overhead %+.1f%%\n%!"
+    "aggregate: %.2f Minstr/s over %d jobs, %.3f minor words/instr \
+     (%.3f translated), tracer overhead %+.1f%%, translation overhead \
+     %+.1f%%\n%!"
     (float_of_int total_instrs /. total_wall /. 1e6)
     (List.length results)
     (total_words /. float_of_int total_instrs)
+    (total_vm_words /. float_of_int total_instrs)
     agg_overhead agg_vm_overhead;
   let json =
     O.Json.Obj
@@ -322,6 +333,8 @@ let () =
                 O.Json.Float (total_words /. float_of_int total_instrs) );
               ("tracer_overhead_pct", O.Json.Float agg_overhead);
               ("vm_overhead_pct", O.Json.Float agg_vm_overhead);
+              ( "vm_minor_words_per_instr",
+                O.Json.Float (total_vm_words /. float_of_int total_instrs) );
             ] );
         ("jobs", O.Json.List (List.map result_json results));
       ]

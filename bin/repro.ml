@@ -1068,7 +1068,8 @@ let submit_cmd =
   in
   let all =
     Arg.(value & flag & info [ "all" ]
-           ~doc:"Submit the full 11x5 matrix ($(b,repro sweep)'s job list).")
+           ~doc:"Submit $(b,repro sweep)'s job list: 11 workloads by six \
+                 columns (the five paper techniques plus DYNA), 66 jobs.")
   in
   let run socket ws ts s all no_cache quiet json =
     (* Jobs are resolved locally first: a typo fails here with the usual

@@ -66,6 +66,11 @@ let header_addr t ~ptr ~word =
     invalid_arg "Object_model.header_addr: word out of range";
   resolve t ~ptr ~off:(word * Vaddr.word_bytes)
 
+(* Warp start: [last_stripped] compares arrays by identity, and a new
+   warp may be handed a recycled array of the last one (the value slab),
+   so the register-reuse chain restarts with each warp. *)
+let begin_warp t = t.last_stripped <- [||]
+
 let charge_strip t ctx objs =
   if t.strip_in_software && t.last_stripped != objs then begin
     t.last_stripped <- objs;

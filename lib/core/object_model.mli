@@ -48,6 +48,12 @@ val field_addr : t -> ptr:int -> field:int -> int
 
 val header_addr : t -> ptr:int -> word:int -> int
 
+val begin_warp : t -> unit
+(** Called at each warp start: restarts the stripped-register reuse
+    that spares repeated [Tp_strip] charges within a warp. The reuse
+    test compares per-lane arrays by identity, and a warp's arrays may
+    be recycled ones of the previous warp. *)
+
 val field_load :
   t -> Repro_gpu.Warp_ctx.t -> objs:int array -> field:int -> int array
 (** Emit a warp load of one user field across lanes (label [Body]); in

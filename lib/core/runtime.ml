@@ -202,6 +202,7 @@ let launch t ~n_threads kernel =
      translate through it. *)
   if t.vm_dirty then build_vm t;
   Device.launch t.device ~n_threads (fun ctx ->
+      Object_model.begin_warp t.om;
       kernel (Dispatch.make_env t.dispatch ctx))
 
 let sync t = Device.sync t.device

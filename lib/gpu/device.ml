@@ -7,13 +7,14 @@
    - the replay side ([replay] below) owns the memory path, the counters,
      the timelines, the kernel spans, retained traces and telemetry.
 
-   Neither phase touches the other's state (except the page table's
-   one-entry lookup cache, which never changes a result), so launch k
-   can replay while launch k+1 emits. Each hand-off carries what replay needs from the
-   caller's side at emission time (traces, launch index, sanitizer delta,
-   translation model), and the lane replays items in launch order, so
-   every counter, row and event is the same as replaying inline. Every
-   reader of replay state drains the lane first. *)
+   Neither phase touches the other's state (the page table is read-only;
+   the TLB model and the sanitizer each own a lookup cursor into it), so
+   launch k can replay while launch k+1 emits. Each hand-off carries
+   what replay needs from the caller's side at emission time (traces,
+   launch index, sanitizer delta, translation model), and the lane
+   replays items in launch order, so every counter, row and event is the
+   same as replaying inline. Every reader of replay state drains the
+   lane first. *)
 
 type replay = {
   mem_path : Mem_path.t;
@@ -50,6 +51,7 @@ type t = {
   cfg : Config.t;
   heap : Repro_mem.Page_store.t;
   scratch : Trace.t; (* reusable emission trace, sealed per warp *)
+  slab : Slab.t; (* the bodies' value arrays, released per warp *)
   san : Repro_san.Checker.t option;
   mutable vm : Repro_vm.Vm.t option;
   mutable launches : int;
@@ -75,6 +77,7 @@ let create ?(config = Config.default) ?san
     cfg = config;
     heap;
     scratch = Trace.create ~capacity:256 ();
+    slab = Slab.create ();
     san;
     vm = None;
     launches = 0;
@@ -281,9 +284,11 @@ let emit t ~n_threads kernel =
         let width = min warp_size (n_threads - first) in
         let lanes = Array.init width (fun lane -> first + lane) in
         Trace.reset t.scratch;
+        (* The previous warp has ended: its value arrays are free. *)
+        Slab.release t.slab;
         let ctx =
-          Warp_ctx.create ?san:t.san ~trace:t.scratch ~heap:t.heap ~warp_id
-            ~lanes ()
+          Warp_ctx.create ?san:t.san ~trace:t.scratch ~slab:t.slab
+            ~heap:t.heap ~warp_id ~lanes ()
         in
         kernel ctx;
         Trace.Intern.seal pool t.scratch)

@@ -56,22 +56,34 @@ let[@inline] emit r kind track a b ts dur =
    indexes [vm_lat] (0 on an L1 TLB hit) and the returned delay pushes
    the sector's first cache arbitration. [tlb] counts L1 hits, L2 hits
    and walks; [walk.(0)] is the open row's running walk-cycle total.
-   [0.] when no model is attached. *)
-let[@inline] translate vm vm_lat tlb walk ring sm sector t0 =
+   [0.] when no model is attached. A sector on the page this SM's L1 TLB
+   touched last ([vm_lo]/[vm_hi], the model's page memo) is that lookup's
+   L1 hit, counted here without the call. *)
+let[@inline] translate vm vm_lo vm_hi vm_lat tlb walk ring sm sector t0 =
   match vm with
   | None -> 0.
   | Some v ->
-    let code = Repro_vm.Vm.lookup v ~sm ~sector in
-    let tx = Array.unsafe_get vm_lat code in
-    if code < 2 then Array.unsafe_set tlb code (Array.unsafe_get tlb code + 1)
+    if
+      sector >= Array.unsafe_get vm_lo sm
+      && sector < Array.unsafe_get vm_hi sm
+    then begin
+      Array.unsafe_set tlb 0 (Array.unsafe_get tlb 0 + 1);
+      Array.unsafe_get vm_lat 0
+    end
     else begin
-      Array.unsafe_set tlb 2 (Array.unsafe_get tlb 2 + 1);
-      Array.unsafe_set walk 0 (Array.unsafe_get walk 0 +. tx);
-      match ring with
-      | Some r -> emit r Telemetry.Ring.kind_tlb sm (code - 2) sector t0 tx
-      | None -> ()
-    end;
-    tx
+      let code = Repro_vm.Vm.lookup v ~sm ~sector in
+      let tx = Array.unsafe_get vm_lat code in
+      if code < 2 then
+        Array.unsafe_set tlb code (Array.unsafe_get tlb code + 1)
+      else begin
+        Array.unsafe_set tlb 2 (Array.unsafe_get tlb 2 + 1);
+        Array.unsafe_set walk 0 (Array.unsafe_get walk 0 +. tx);
+        match ring with
+        | Some r -> emit r Telemetry.Ring.kind_tlb sm (code - 2) sector t0 tx
+        | None -> ()
+      end;
+      tx
+    end
 
 let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
   Config.validate cfg;
@@ -106,6 +118,11 @@ let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
     let n_over_l1 = Mem_path.Raw.n_over_l1 mem_path in
     let vm = Mem_path.vm mem_path in
     let vm_lat = Mem_path.Raw.vm_lat mem_path in
+    let vm_lo, vm_hi =
+      match vm with
+      | Some v -> (Repro_vm.Vm.Raw.memo_lo v, Repro_vm.Vm.Raw.memo_hi v)
+      | None -> ([||], [||])
+    in
     let l1s = Mem_path.Raw.l1s mem_path in
     let l1_tags = Array.map Cache.Raw.tags l1s in
     let l1_valid = Array.map Cache.Raw.valid l1s in
@@ -310,7 +327,9 @@ let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
                  level that hits; the completion time folds into
                  [compl_] by replace-if-greater. *)
               let sector = Array.unsafe_get sec (off + i) in
-              let a = t0 +. translate vm vm_lat tlb walk ring sm sector t0 in
+              let a =
+                t0 +. translate vm vm_lo vm_hi vm_lat tlb walk ring sm sector t0
+              in
               let lnf = Array.unsafe_get l1_next_free sm in
               let t1 = if a >= lnf then a else lnf in
               Array.unsafe_set l1_next_free sm (t1 +. inv_l1_tp);
@@ -393,7 +412,9 @@ let run_fused ?telemetry (cfg : Config.t) mem_path ~stats ~traces =
                  does not wait on them, and the DRAM drain can outlive the
                  kernel's last warp. *)
               let sector = Array.unsafe_get sec (off + i) in
-              let a = t0 +. translate vm vm_lat tlb walk ring sm sector t0 in
+              let a =
+                t0 +. translate vm vm_lo vm_hi vm_lat tlb walk ring sm sector t0
+              in
               let t2 = if a >= clk.(0) then a else clk.(0) in
               clk.(0) <- t2 +. inv_l2_tp;
               if

@@ -6,6 +6,10 @@ type t = {
   warp_id : int;
   lanes : int array;
   san : Repro_san.Checker.t option;
+  (* Value arrays handed to the body (loaded values, divergence groups,
+     index maps, sub-lane ids) come from here; valid until the warp
+     ends. *)
+  slab : Slab.t;
   (* Callers (Garray, Dispatch) compute per-lane addresses into
      [ascratch] and emit through [load_into]/[store_from] instead of
      building intermediate arrays. *)
@@ -17,10 +21,11 @@ type t = {
   mutable idents : int array array;
 }
 
-let create ?san ?trace ~heap ~warp_id ~lanes () =
+let create ?san ?trace ?slab ~heap ~warp_id ~lanes () =
   if Array.length lanes = 0 then invalid_arg "Warp_ctx.create: empty warp";
   let trace = match trace with Some t -> t | None -> Trace.create () in
-  { heap; trace; warp_id; lanes; san; ascratch = [||]; idents = [||] }
+  let slab = match slab with Some s -> s | None -> Slab.create () in
+  { heap; trace; warp_id; lanes; san; slab; ascratch = [||]; idents = [||] }
 
 let addr_scratch t n =
   if Array.length t.ascratch < n then t.ascratch <- Array.make (max 32 n) 0;
@@ -70,13 +75,17 @@ let load ?(width = 8) t ~label addrs =
   sanitize t ~label ~width addrs;
   let off = Trace.emit_load t.trace ~label ~blocking:true addrs in
   let arena = Trace.arena t.trace in
-  Array.init (Array.length addrs) (fun i ->
-      Page_store.load_byte_width t.heap arena.(off + i) ~width)
+  let n = Array.length addrs in
+  let out = Slab.take t.slab n in
+  for i = 0 to n - 1 do
+    out.(i) <- Page_store.load_byte_width t.heap arena.(off + i) ~width
+  done;
+  out
 
 (* Scratch-buffer entry points: the caller (the object model's field
    path, Garray, Dispatch) computes canonical per-lane addresses into a
-   reusable buffer that may be wider than the warp, so only the returned
-   value array is allocated. The sanitizer checks exactly the first [n]
+   reusable buffer that may be wider than the warp, and the returned
+   value array comes from the slab. The sanitizer checks exactly the first [n]
    lanes; that exact-width copy happens only on sanitized runs. *)
 let sanitize_buf t ~label ~width addrs n =
   match t.san with
@@ -89,7 +98,7 @@ let load_into ?(width = 8) t ~label ~blocking ~addrs ~n =
   sanitize_buf t ~label ~width addrs n;
   let off = Trace.emit_load_n t.trace ~label ~blocking addrs n in
   let arena = Trace.arena t.trace in
-  let out = Array.make n 0 in
+  let out = Slab.take t.slab n in
   Page_store.load_batch t.heap arena ~off ~n ~width out;
   out
 
@@ -129,10 +138,19 @@ let gather idxs a = Array.map (fun i -> a.(i)) idxs
 
 let scatter idxs dst src = Array.iteri (fun k i -> dst.(i) <- src.(k)) idxs
 
+(* [Array.map (fun i -> a.(i)) idxs] into a slab array. *)
+let gather_into t idxs a =
+  let m = Array.length idxs in
+  let out = Slab.take t.slab m in
+  for k = 0 to m - 1 do
+    out.(k) <- a.(idxs.(k))
+  done;
+  out
+
 (* Groups in first-occurrence order of their key, members in lane order,
-   built with array scans. The warp-uniform case — the common one at
-   converged call sites — emits on [t] itself with a cached identity
-   index map, allocating nothing. *)
+   built with array scans into slab arrays. The warp-uniform case — the
+   common one at converged call sites — emits on [t] itself with a
+   cached identity index map. *)
 let diverge t ~label ~keys body =
   check_width t keys "diverge";
   let n = Array.length keys in
@@ -148,9 +166,10 @@ let diverge t ~label ~keys body =
     body ~key:k0 t (identity t n)
   end
   else begin
-    (* Distinct keys in first-occurrence order. Fresh (not scratch):
-       [gk] stays live across body calls, and bodies may diverge again. *)
-    let gk = Array.make n 0 in
+    (* Distinct keys in first-occurrence order. [gk] stays live across
+       body calls, and bodies may diverge again: each level takes its
+       own arrays, all valid until the warp ends. *)
+    let gk = Slab.take t.slab n in
     let ng = ref 0 in
     for i = 0 to n - 1 do
       let k = keys.(i) in
@@ -169,7 +188,7 @@ let diverge t ~label ~keys body =
       for i = 0 to n - 1 do
         if keys.(i) = k then incr m
       done;
-      let idxs = Array.make !m 0 in
+      let idxs = Slab.take t.slab !m in
       let j = ref 0 in
       for i = 0 to n - 1 do
         if keys.(i) = k then begin
@@ -177,7 +196,7 @@ let diverge t ~label ~keys body =
           incr j
         end
       done;
-      let sub = { t with lanes = gather idxs t.lanes } in
+      let sub = { t with lanes = gather_into t idxs t.lanes } in
       ctrl sub ~label;
       body ~key:k sub idxs
     done
@@ -188,6 +207,10 @@ let if_ t ~label ~pred then_ else_ =
     if key = 1 then then_ sub idxs
     else match else_ with Some f -> f sub idxs | None -> ()
   in
-  let keys = Array.map (fun b -> if b then 1 else 0) pred in
+  let n = Array.length pred in
+  let keys = Slab.take t.slab n in
+  for i = 0 to n - 1 do
+    keys.(i) <- (if pred.(i) then 1 else 0)
+  done;
   check_width t keys "if_";
   diverge t ~label ~keys body

@@ -14,19 +14,26 @@
     Divergence: {!diverge} splits the active mask by a per-lane key and
     runs the body once per distinct key over that subset, serializing the
     subsets exactly like the SIMT reconvergence stack, and charging one
-    control instruction per executed subset. *)
+    control instruction per executed subset.
+
+    Lifetime rule: the arrays this module hands to a body — the values
+    {!load}/{!load_into} return, and {!diverge}'s index maps and its
+    subsets' {!tids} — come from the context's {!Slab} and are valid
+    until the warp ends. A body may read and overwrite them, but must
+    not keep them past its warp. *)
 
 type t
 
 val create :
-  ?san:Repro_san.Checker.t -> ?trace:Trace.t ->
+  ?san:Repro_san.Checker.t -> ?trace:Trace.t -> ?slab:Slab.t ->
   heap:Repro_mem.Page_store.t -> warp_id:int -> lanes:int array -> unit -> t
 (** Used by the device launch path; [lanes] are the global thread ids of
     the active lanes (≤ warp size, non-empty). When [san] is given, every
     load and store (including {!load_into}/{!store_from}) reports its raw
     (pre-strip) per-lane addresses to the sanitizer before the heap sees
     them. [trace] lets the device pass its reusable scratch trace
-    (default: a fresh one). *)
+    (default: a fresh one); [slab] its value slab, which it releases at
+    each warp start (default: a private one, never released). *)
 
 val addr_scratch : t -> int -> int array
 (** A reusable per-warp address buffer of at least the given size, for
@@ -60,7 +67,7 @@ val load_into :
     [addrs.(0 .. n-1)], where [addrs] is a caller-owned scratch buffer
     that may be wider than the warp ([n] must equal {!n_active}); only
     the first [n] lanes are accessed and sanitized. The object model's
-    field path: only the returned value array is allocated. *)
+    field path: the returned value array comes from the slab. *)
 
 val store_from :
   ?width:int -> t -> label:Label.t -> addrs:int array -> n:int ->

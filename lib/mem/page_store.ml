@@ -12,12 +12,21 @@ let page_words = page_bytes / Vaddr.word_bytes
    This store is the innermost loop of the functional phase (one lookup
    per lane per memory instruction), so the addressing is shift/mask
    (addresses are canonical, hence non-negative), page lookups go through
-   [Hashtbl.find] + [Not_found] rather than [find_opt] (whose [Some]
+   [Pages.find] + [Not_found] rather than [find_opt] (whose [Some]
    would be a minor allocation per lane), and a one-entry page memo
    short-circuits the hashtable for the common case of consecutive lanes
-   landing on the same 4 KB page. *)
+   landing on the same 4 KB page. The table is specialised to int keys,
+   so a memo miss hashes and compares its page number without the
+   generic [caml_hash] and polymorphic compare. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (page : int) = page land max_int
+end)
+
 type t = {
-  pages : (int, int array) Hashtbl.t;
+  pages : int array Pages.t;
   mutable last_page : int;          (* memo key; [min_int] = empty *)
   mutable last_cells : int array;   (* memo value, valid iff key set *)
 }
@@ -25,7 +34,7 @@ type t = {
 let half_mask = 0xFFFF_FFFF
 
 let create () =
-  { pages = Hashtbl.create 1024; last_page = min_int; last_cells = [||] }
+  { pages = Pages.create 1024; last_page = min_int; last_cells = [||] }
 
 let check_addr addr label =
   if not (Vaddr.is_canonical addr) then
@@ -41,7 +50,7 @@ let page_of addr = addr lsr page_bits
 let cells_of_page t key =
   if key = t.last_page then t.last_cells
   else begin
-    let cells = Hashtbl.find t.pages key in
+    let cells = Pages.find t.pages key in
     t.last_page <- key;
     t.last_cells <- cells;
     cells
@@ -50,14 +59,14 @@ let cells_of_page t key =
 let materialize t key =
   if key = t.last_page then t.last_cells
   else
-    match Hashtbl.find t.pages key with
+    match Pages.find t.pages key with
     | cells ->
       t.last_page <- key;
       t.last_cells <- cells;
       cells
     | exception Not_found ->
       let cells = Array.make (page_words * 2) 0 in
-      Hashtbl.add t.pages key cells;
+      Pages.add t.pages key cells;
       t.last_page <- key;
       t.last_cells <- cells;
       cells
@@ -231,12 +240,12 @@ let store_batch t addrs ~off ~n ~width values =
       end
     done
 
-let touched_pages t = Hashtbl.length t.pages
+let touched_pages t = Pages.length t.pages
 
 let footprint_bytes t = touched_pages t * page_bytes
 
 let iter_words t f =
-  Hashtbl.iter
+  Pages.iter
     (fun page cells ->
       let base = page * page_bytes in
       for w = 0 to page_words - 1 do

@@ -12,6 +12,7 @@ type t = {
   kernel_counts : int array;  (* since the last take_kernel_delta *)
   samples : Violation.t Vec.t;
   mutable page_table : Repro_vm.Page_table.t option;
+  cursor : Repro_vm.Page_table.cursor; (* this reader's own *)
 }
 
 let create ?mutation ?capture ?(max_samples = 32) ~tags_expected () =
@@ -24,6 +25,7 @@ let create ?mutation ?capture ?(max_samples = 32) ~tags_expected () =
     kernel_counts = Array.make Violation.kind_count 0;
     samples = Vec.create ();
     page_table = None;
+    cursor = Repro_vm.Page_table.cursor ();
   }
 
 let shadow t = t.shadow
@@ -83,7 +85,7 @@ let check_one t ~warp ~lane ~access ~what ~width a =
   match t.page_table with
   | None -> ()
   | Some table ->
-    (match Repro_vm.Page_table.translate table ~addr:canonical with
+    (match Repro_vm.Page_table.translate table t.cursor ~addr:canonical with
      | None ->
        report t ~kind:Violation.Vm_unmapped ~warp ~lane ~addr:a ~what
          ~detail:"no page mapped by the translation model"

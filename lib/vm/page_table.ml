@@ -46,11 +46,6 @@ type t = {
   levels : int array; (* walk depth charged on a full miss *)
   owner : int array;  (* promoted spans: owning type_id; -1 otherwise *)
   phys : int array;   (* modelled physical base address (bytes) *)
-  mutable last : int;
-  (* One-entry lookup cache. The sanitizer (emission) and the TLB model
-     (replay, possibly on another domain) both write it; [find] checks
-     whatever index it reads, so a racing write costs a miss, never a
-     wrong span. *)
   total_pages : int;
   large_spans : int;
 }
@@ -162,7 +157,6 @@ let build ?(promote_min_bytes = default_promote_min_bytes) ~policy ~arenas
     levels;
     owner;
     phys;
-    last = 0;
     total_pages = !total_pages;
     large_spans = !large_spans;
   }
@@ -171,35 +165,56 @@ let spans t = Array.length t.sbase
 let pages t = t.total_pages
 let large_spans t = t.large_spans
 
-(* Span containing [sector], or -1. Replay-hot: the one-entry cache
-   catches the streaming case, the binary search everything else;
-   neither allocates. *)
-let find t sector =
-  let n = Array.length t.sbase in
-  let last = t.last in
+(* A reader's one-entry lookup cache: the span [find] returned last.
+   Each reader owns one (the TLB model on the replay side, the sanitizer
+   on the emitting side), so no two domains ever write the same cursor. *)
+type cursor = { mutable last : int }
+
+let cursor () = { last = 0 }
+
+(* Span containing [sector], or -1. Replay-hot: the cursor catches the
+   streaming case, a binary-search loop everything else; neither
+   allocates. *)
+let find t c sector =
+  let sbase = t.sbase and slimit = t.slimit in
+  let n = Array.length sbase in
+  let last = c.last in
   if
     last < n
-    && sector >= Array.unsafe_get t.sbase last
-    && sector < Array.unsafe_get t.slimit last
+    && sector >= Array.unsafe_get sbase last
+    && sector < Array.unsafe_get slimit last
   then last
   else begin
-    let rec go lo hi =
-      if lo >= hi then -1
+    let lo = ref 0 and hi = ref n and found = ref (-1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if sector < Array.unsafe_get sbase mid then hi := mid
+      else if sector >= Array.unsafe_get slimit mid then lo := mid + 1
       else begin
-        let mid = (lo + hi) / 2 in
-        if sector < Array.unsafe_get t.sbase mid then go lo mid
-        else if sector >= Array.unsafe_get t.slimit mid then go (mid + 1) hi
-        else mid
+        found := mid;
+        lo := !hi
       end
-    in
-    let i = go 0 n in
-    if i >= 0 then t.last <- i;
+    done;
+    let i = !found in
+    if i >= 0 then c.last <- i;
     i
   end
 
 let key t i sector =
   (i lsl span_key_shift)
   lor ((sector - Array.unsafe_get t.sbase i) lsr Array.unsafe_get t.shift i)
+
+(* The sectors [page_lo, page_hi) of [sector]'s page in span [i]: every
+   sector in them, and no other, has [key t i sector]. The last page of
+   a span ends at the span's limit. *)
+let page_lo t i sector =
+  let base = Array.unsafe_get t.sbase i and sh = Array.unsafe_get t.shift i in
+  base + (((sector - base) lsr sh) lsl sh)
+
+let page_hi t i sector =
+  let hi = page_lo t i sector + (1 lsl Array.unsafe_get t.shift i) in
+  let limit = Array.unsafe_get t.slimit i in
+  if hi < limit then hi else limit
 
 let levels_of (t : t) i = Array.unsafe_get t.levels i
 
@@ -210,9 +225,9 @@ let span_info (t : t) i =
     t.slimit.(i) lsl Vaddr.sector_shift,
     t.owner.(i) )
 
-let translate (t : t) ~addr =
+let translate (t : t) c ~addr =
   let addr = Vaddr.strip addr in
-  let i = find t (addr lsr Vaddr.sector_shift) in
+  let i = find t c (addr lsr Vaddr.sector_shift) in
   if i < 0 then None
   else
     Some

@@ -49,13 +49,29 @@ val spans : t -> int
 val pages : t -> int
 val large_spans : t -> int
 
-val find : t -> int -> int
-(** Span index containing the given {e sector}, or -1 when unmapped.
-    Allocation-free (one-entry cache + binary search). *)
+type cursor
+(** A reader's one-entry lookup cache. Each reader (the TLB model, the
+    sanitizer) owns its own, so readers on different domains never share
+    mutable state; a cursor may be reused across tables. *)
+
+val cursor : unit -> cursor
+
+val find : t -> cursor -> int -> int
+(** [find t c sector]: span index containing [sector], or -1 when
+    unmapped. Allocation-free (the cursor, then a binary-search loop). *)
 
 val key : t -> int -> int -> int
 (** [key t span sector]: the page identity used as TLB tag. Only valid
     when [find] returned [span] for [sector]. *)
+
+val page_lo : t -> int -> int -> int
+(** [page_lo t span sector]: first sector of [sector]'s page. Only valid
+    when [find] returned [span] for [sector]. *)
+
+val page_hi : t -> int -> int -> int
+(** One past the last sector of [sector]'s page (clipped to the span):
+    the sectors [page_lo, page_hi) are exactly those with [sector]'s
+    {!key}. *)
 
 val levels_of : t -> int -> int
 (** Walk depth of the span's pages. *)
@@ -63,7 +79,7 @@ val levels_of : t -> int -> int
 val span_info : t -> int -> int * int * int
 (** [(base, limit, owner)] of a span, in bytes. *)
 
-val translate : t -> addr:int -> page option
+val translate : t -> cursor -> addr:int -> page option
 (** Full translation of a (possibly tagged) virtual address; [None] when
     no mapping covers it. For tests and the sanitizer — the replay path
     uses {!find}/{!key}. *)

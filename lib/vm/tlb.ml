@@ -29,12 +29,15 @@ let create ~sets ~ways =
 
 let entries t = (t.mask + 1) * t.ways
 
-let rec scan_ways tags key base w ways =
+(* The int annotations keep these helpers monomorphic: generalized, the
+   tag test would be a polymorphic [caml_equal] call and the stamp test
+   a [caml_lessthan] call per way. *)
+let rec scan_ways (tags : int array) (key : int) base w ways =
   if w >= ways then -1
   else if Array.unsafe_get tags (base + w) = key then w
   else scan_ways tags key base (w + 1) ways
 
-let rec lru_way stamps base w ways best best_stamp =
+let rec lru_way (stamps : int array) base w ways best (best_stamp : int) =
   if w >= ways then best
   else begin
     let s = Array.unsafe_get stamps (base + w) in

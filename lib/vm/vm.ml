@@ -11,7 +11,17 @@
 
    Unmapped sectors are charged a full [Page_table.max_levels] walk and
    never cached — the timing model stays total, and the sanitizer's
-   page-table hook is what reports them as violations. *)
+   page-table hook is what reports them as violations.
+
+   Page memo. For each SM, [memo_lo]/[memo_hi] hold the sector bounds of
+   the page that SM's L1 TLB touched last; a lookup inside them is an L1
+   hit answered without [Page_table.find], [key] or [Tlb.access]. This is
+   exact: the touch that set the memo (hit or fill) left that entry the
+   newest in its set and in the whole TLB, and every later touch of that
+   L1 TLB resets the memo. Skipping the re-stamp only leaves the TLB's
+   [tick] lower, which preserves the order of every stamp, so no later
+   LRU choice, code or counter changes. [flush_l1s]/[flush] empty it
+   ([lo = hi]); an unmapped sector touches no TLB and leaves it alone. *)
 
 type config = {
   l1_sets : int;
@@ -48,8 +58,11 @@ let validate_config c =
 type t = {
   cfg : config;
   table : Page_table.t;
+  cursor : Page_table.cursor; (* the replay side's own *)
   l1s : Tlb.t array;
   l2 : Tlb.t;
+  memo_lo : int array; (* per SM; empty when lo = hi *)
+  memo_hi : int array;
 }
 
 let create ?(config = default_config) ~n_sms ~table () =
@@ -58,10 +71,13 @@ let create ?(config = default_config) ~n_sms ~table () =
   {
     cfg = config;
     table;
+    cursor = Page_table.cursor ();
     l1s =
       Array.init n_sms (fun _ ->
           Tlb.create ~sets:config.l1_sets ~ways:config.l1_ways);
     l2 = Tlb.create ~sets:config.l2_sets ~ways:config.l2_ways;
+    memo_lo = Array.make n_sms 0;
+    memo_hi = Array.make n_sms 0;
   }
 
 let hit_l1 = 0
@@ -70,13 +86,21 @@ let walk_base = 2
 let max_code = walk_base + Page_table.max_levels
 
 let lookup t ~sm ~sector =
-  let i = Page_table.find t.table sector in
-  if i < 0 then walk_base + Page_table.max_levels
+  if
+    sector >= Array.unsafe_get t.memo_lo sm
+    && sector < Array.unsafe_get t.memo_hi sm
+  then hit_l1
   else begin
-    let key = Page_table.key t.table i sector in
-    if Tlb.access (Array.unsafe_get t.l1s sm) ~key then hit_l1
-    else if Tlb.access t.l2 ~key then hit_l2
-    else walk_base + Page_table.levels_of t.table i
+    let i = Page_table.find t.table t.cursor sector in
+    if i < 0 then walk_base + Page_table.max_levels
+    else begin
+      let key = Page_table.key t.table i sector in
+      Array.unsafe_set t.memo_lo sm (Page_table.page_lo t.table i sector);
+      Array.unsafe_set t.memo_hi sm (Page_table.page_hi t.table i sector);
+      if Tlb.access (Array.unsafe_get t.l1s sm) ~key then hit_l1
+      else if Tlb.access t.l2 ~key then hit_l2
+      else walk_base + Page_table.levels_of t.table i
+    end
   end
 
 let latency_of_code t code =
@@ -86,7 +110,10 @@ let latency_of_code t code =
     t.cfg.l2_latency
     +. (float_of_int (code - walk_base) *. t.cfg.walk_latency_per_level)
 
-let flush_l1s t = Array.iter Tlb.flush t.l1s
+let flush_l1s t =
+  Array.iter Tlb.flush t.l1s;
+  Array.fill t.memo_hi 0 (Array.length t.memo_hi) 0;
+  Array.fill t.memo_lo 0 (Array.length t.memo_lo) 0
 
 let flush t =
   flush_l1s t;
@@ -95,3 +122,8 @@ let flush t =
 let table t = t.table
 let config t = t.cfg
 let n_sms t = Array.length t.l1s
+
+module Raw = struct
+  let memo_lo t = t.memo_lo
+  let memo_hi t = t.memo_hi
+end

@@ -38,7 +38,10 @@ val max_code : int
 
 val lookup : t -> sm:int -> sector:int -> int
 (** Translate one sector on SM [sm], updating TLB state. Returns a code
-    in [0, max_code]. Allocation-free. *)
+    in [0, max_code]. Allocation-free. A sector on the page SM [sm]'s L1
+    TLB touched last is an L1 hit answered from a per-SM page memo
+    without touching the TLBs; the codes and every later TLB decision
+    are those of the memo-free model. *)
 
 val latency_of_code : t -> int -> float
 (** Cycles charged for a lookup outcome. *)
@@ -53,3 +56,12 @@ val flush : t -> unit
 val table : t -> Page_table.t
 val config : t -> config
 val n_sms : t -> int
+
+(** The per-SM page memo, for the replay loop to test inline: a sector
+    [s] with [lo.(sm) <= s < hi.(sm)] is an L1 hit ({!hit_l1}) needing
+    no {!lookup} call. The arrays are the live state, hoisted once per
+    launch; the loop only reads them. *)
+module Raw : sig
+  val memo_lo : t -> int array
+  val memo_hi : t -> int array
+end

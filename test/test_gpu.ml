@@ -419,13 +419,22 @@ let canned_traces ~n_warps ~n_instrs =
       done;
       Warp_ctx.trace ctx)
 
-(* A flat 4 KiB page table over the first 32 MiB: every address the
-   canned and random programs touch is mapped. *)
+(* A page table over the first 32 MiB, so every address the canned and
+   random programs touch is mapped, cut into many spans: 64 KiB large
+   pages every 256 KiB, 4 KiB pages between them. Lookups therefore
+   leave their span often, and the page-table search, not just its
+   cursor, runs on the replay path. *)
 let test_vm () =
-  let table =
-    Repro_vm.Page_table.build ~policy:Repro_vm.Policy.Flat_4k
-      ~arenas:[ (0, 32 * 1024 * 1024) ] ~promoted:[] ()
+  let promoted =
+    List.init 128 (fun i ->
+        let base = (i * 256 * 1024) + (128 * 1024) in
+        (base, base + (64 * 1024), i land 3))
   in
+  let table =
+    Repro_vm.Page_table.build ~policy:Repro_vm.Policy.Coalesce
+      ~arenas:[ (0, 32 * 1024 * 1024) ] ~promoted ()
+  in
+  assert (Repro_vm.Page_table.spans table > 200);
   Repro_vm.Vm.create ~n_sms:cfg.Config.n_sms ~table ()
 
 (* Ring-only telemetry: windowed sampling owns one Stats row per window
@@ -696,6 +705,111 @@ let test_seal_stores_sectors () =
     check Alcotest.int "instruction total" 4 (Trace.instruction_total b)
   | _ -> Alcotest.fail "two traces"
 
+(* --- the value slab ------------------------------------------------------ *)
+
+(* A random warp program that leans on every array the slab hands out:
+   loaded values feed later addresses and stores, divergence keys come
+   from loaded values, bodies diverge again and write back through their
+   index maps into arrays taken earlier in the warp. A slab array reused
+   too early, or shared between two live arrays, changes an address, a
+   stored value or a branch. *)
+let rec slab_ops ctx vals depth ops =
+  let addrs_of base vals =
+    Array.map (fun v -> (base + (8 * (v land 255))) land 0xFFFF8) vals
+  in
+  List.iter
+    (fun (op, r) ->
+      let base = (r * 8) land 0xFFFF8 in
+      match op with
+      | 0 ->
+        let got = Warp_ctx.load ctx ~label:Label.Body (addrs_of base !vals) in
+        vals := Array.mapi (fun i v -> (v + got.(i)) land 0xFFFFFF) !vals
+      | 1 ->
+        let n = Array.length !vals in
+        let buf = Warp_ctx.addr_scratch ctx n in
+        Array.blit (addrs_of base !vals) 0 buf 0 n;
+        let got =
+          Warp_ctx.load_into ctx ~label:Label.Body ~blocking:true ~addrs:buf ~n
+        in
+        (* Keep the slab array itself: it must survive to the warp's end. *)
+        for i = 0 to n - 1 do
+          got.(i) <- (got.(i) + !vals.(i) + 1) land 0xFFFFFF
+        done;
+        vals := got
+      | 2 ->
+        Warp_ctx.store ctx ~label:Label.Body (addrs_of base !vals)
+          (Array.map (fun v -> ((v * 7) + r) land 0xFFFFFF) !vals)
+      | 3 when depth < 3 ->
+        let keys = Array.map (fun v -> (v + r) mod 3) !vals in
+        let parent = !vals in
+        Warp_ctx.diverge ctx ~label:Label.Body ~keys (fun ~key sub idxs ->
+            let sub_vals = ref (Warp_ctx.gather idxs parent) in
+            sub_vals := Array.map (fun v -> v + key) !sub_vals;
+            slab_ops sub sub_vals (depth + 1)
+              (List.filteri (fun i _ -> i mod 4 = key) ops);
+            Warp_ctx.scatter idxs parent !sub_vals)
+      | 4 when depth < 3 ->
+        let parent = !vals in
+        Warp_ctx.if_ ctx ~label:Label.Body
+          ~pred:(Array.map (fun v -> (v + r) land 1 = 0) parent)
+          (fun sub idxs ->
+            let sub_vals = ref (Warp_ctx.gather idxs parent) in
+            slab_ops sub sub_vals (depth + 1) (List.filteri (fun i _ -> i mod 3 = 0) ops);
+            Warp_ctx.scatter idxs parent !sub_vals)
+          (Some
+             (fun sub idxs ->
+               Warp_ctx.store sub ~label:Label.Body
+                 (addrs_of base (Warp_ctx.gather idxs parent))
+                 (Warp_ctx.tids sub)))
+      | 5 -> Warp_ctx.compute ctx ~n:(1 + (r mod 4)) ~label:Label.Body
+      | _ -> Warp_ctx.ctrl ctx ~label:Label.Body)
+    ops
+
+(* Run [ops] as four warps of mixed widths, seeding the heap first so
+   loads see data; with [shared], every warp takes from one slab that is
+   released at each warp start, as a device does; otherwise each context
+   has its own. Returns the sealed streams (every record's op, label,
+   active lanes, repeat, blocking flag and sectors) and the heap. *)
+let run_slab_program ~shared ops =
+  let heap = Page_store.create () in
+  for i = 0 to 4095 do
+    Page_store.store heap (8 * i) ((i * 2654435761) land 0xFFFF)
+  done;
+  let slab = Repro_gpu.Slab.create () in
+  let scratch = Trace.create () in
+  let pool = Trace.Intern.create () in
+  let widths = [| 32; 17; 32; 5 |] in
+  let traces =
+    Array.init (Array.length widths) (fun warp_id ->
+        let lanes = Array.init widths.(warp_id) (fun l -> (warp_id * 32) + l) in
+        Trace.reset scratch;
+        let ctx =
+          if shared then begin
+            Repro_gpu.Slab.release slab;
+            Warp_ctx.create ~trace:scratch ~slab ~heap ~warp_id ~lanes ()
+          end
+          else Warp_ctx.create ~trace:scratch ~heap ~warp_id ~lanes ()
+        in
+        slab_ops ctx (ref (Array.copy lanes)) 0 ops;
+        Trace.Intern.seal pool scratch)
+  in
+  let view t =
+    List.init (Trace.length t) (fun i ->
+        ( Trace.op t i, Trace.label_index t i, Trace.active t i,
+          Trace.repeat t i, Trace.is_blocking t i, Trace.sectors t i ))
+  in
+  let words = ref [] in
+  Page_store.iter_words heap (fun a v -> words := (a, v) :: !words);
+  (Array.map view traces, List.sort compare !words)
+
+let prop_slab_invisible =
+  QCheck.Test.make ~name:"value slab: same traces and heap as fresh arrays"
+    ~count:60
+    QCheck.(int_bound 100_000)
+    (fun k ->
+      let ops = frozen_program k in
+      run_slab_program ~shared:true ops = run_slab_program ~shared:false ops)
+
 (* --- launch pipelining -------------------------------------------------- *)
 
 module Cores = Repro_util.Spare_cores
@@ -851,5 +965,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_coalesce_scratch_equiv;
     QCheck_alcotest.to_alcotest prop_telemetry_observation_only;
     QCheck_alcotest.to_alcotest prop_lane_invisible;
+    QCheck_alcotest.to_alcotest prop_slab_invisible;
     QCheck_alcotest.to_alcotest prop_cache_hits_bounded;
   ]

@@ -463,6 +463,80 @@ let test_workload_scaled () =
   let tiny = { p with W.Workload.scale = 0.0001 } in
   check Alcotest.int "floor of one" 1 (W.Workload.scaled tiny 100)
 
+(* --- emission allocation ------------------------------------------------ *)
+
+(* Minor words the calling domain allocates inside a job's iterations
+   (kernel bodies, sealing and, with the replay lane held off, the
+   per-launch replay setup), summed over the six default columns of each
+   workload at scale 0.02, with the simulated warp instructions they
+   ran: (workload, minor words, warp instructions), words/instr in the
+   comment. A deterministic
+   proxy for emission cost, gated exactly: any change to how the
+   emitting path allocates moves a count. The counts are those of the
+   OCaml 5.1 native compiler; another compiler version may box or
+   inline differently and needs the table re-recorded. *)
+let frozen_emission_words =
+  [
+    ("Dynasoar/TRAF", 840003, 26362); (* 31.86 *)
+    ("Dynasoar/GOL", 3203103, 126141); (* 25.39 *)
+    ("Dynasoar/STUT", 1133381, 37254); (* 30.42 *)
+    ("Dynasoar/GEN", 814314, 27312); (* 29.82 *)
+    ("GraphChi-vE/BFS", 1529043, 31434); (* 48.64 *)
+    ("GraphChi-vE/CC", 1554262, 33440); (* 46.48 *)
+    ("GraphChi-vE/PR", 1275694, 29598); (* 43.10 *)
+    ("GraphChi-vEN/BFS", 1685242, 35410); (* 47.59 *)
+    ("GraphChi-vEN/CC", 1710758, 37416); (* 45.72 *)
+    ("GraphChi-vEN/PR", 1298347, 31278); (* 41.51 *)
+    ("RAY/RAY", 16366584, 1048464); (* 15.61 *)
+  ]
+
+let emission_words () =
+  let per_job (job : Repro_exec.Job.t) =
+    let w = job.Repro_exec.Job.workload in
+    let words = ref 0. in
+    let build p =
+      let inst = w.W.Workload.build p in
+      {
+        inst with
+        W.Workload.run_iteration =
+          (fun i ->
+            let w0 = Gc.minor_words () in
+            inst.W.Workload.run_iteration i;
+            words := !words +. (Gc.minor_words () -. w0));
+      }
+    in
+    let run = W.Harness.run { w with W.Workload.build } job.Repro_exec.Job.params in
+    (W.Registry.qualified_name w, int_of_float !words,
+     Stats.total_instructions run.W.Harness.stats)
+  in
+  let cells =
+    Repro_util.Spare_cores.hold (Repro_util.Spare_cores.available ())
+      (fun () -> List.map per_job (Repro_experiments.Sweep.jobs ~scale:0.02 ()))
+  in
+  List.fold_left
+    (fun acc (name, words, instrs) ->
+      match acc with
+      | (n, w, i) :: rest when n = name -> (n, w + words, i + instrs) :: rest
+      | _ -> (name, words, instrs) :: acc)
+    [] cells
+  |> List.rev
+
+let test_frozen_emission_words () =
+  let got = emission_words () in
+  check Alcotest.int "workload count" (List.length frozen_emission_words)
+    (List.length got);
+  List.iter2
+    (fun (name, words, instrs) (name', words', instrs') ->
+      check Alcotest.string "workload order" name name';
+      check Alcotest.int (name ^ " warp instructions") instrs instrs';
+      check Alcotest.int
+        (Printf.sprintf "%s minor words (%.3f/instr frozen, %.3f/instr now)"
+           name
+           (float_of_int words /. float_of_int instrs)
+           (float_of_int words' /. float_of_int instrs'))
+        words words')
+    frozen_emission_words got
+
 (* --- scheduler waves ------------------------------------------------------ *)
 
 let test_residency_waves_complete () =
@@ -575,6 +649,8 @@ let suite =
       test_frozen_translated_digests;
     Alcotest.test_case "frozen telemetry digests at scale 0.02" `Quick
       test_frozen_telemetry_digests;
+    Alcotest.test_case "frozen emission words per instruction at scale 0.02"
+      `Quick test_frozen_emission_words;
     Alcotest.test_case "harness speedup direction" `Quick test_harness_speedup_direction;
     Alcotest.test_case "workload scaled" `Quick test_workload_scaled;
     Alcotest.test_case "residency waves complete" `Quick test_residency_waves_complete;

@@ -58,7 +58,7 @@ let prop_translate_roundtrip =
     QCheck.(int_bound ((17 * mb) - 1))
     (fun addr ->
       let t = Page_table.build ~policy:Policy.Flat_4k ~arenas ~promoted:[] () in
-      match Page_table.translate t ~addr with
+      match Page_table.translate t (Page_table.cursor ()) ~addr with
       | Some page ->
         in_arenas addr
         && page.Page_table.page_bytes = Page_table.small_page_bytes
@@ -74,8 +74,8 @@ let prop_translate_ignores_tag =
     (fun (addr, tag) ->
       QCheck.assume (tag > 0);
       let t = Page_table.build ~policy:Policy.Flat_2m ~arenas ~promoted:[] () in
-      Page_table.translate t ~addr:(Vaddr.with_tag addr ~tag)
-      = Page_table.translate t ~addr)
+      Page_table.translate t (Page_table.cursor ()) ~addr:(Vaddr.with_tag addr ~tag)
+      = Page_table.translate t (Page_table.cursor ()) ~addr)
 
 let prop_phys_offsets_within_page =
   (* Physical placement is per-page linear: two addresses on the same
@@ -88,14 +88,14 @@ let prop_phys_offsets_within_page =
       let page_base = addr - (addr mod Page_table.small_page_bytes) in
       let a = page_base + (delta mod Page_table.small_page_bytes) in
       match
-        (Page_table.translate t ~addr:page_base, Page_table.translate t ~addr:a)
+        (Page_table.translate t (Page_table.cursor ()) ~addr:page_base, Page_table.translate t (Page_table.cursor ()) ~addr:a)
       with
       | Some p0, Some p1 ->
         p1.Page_table.phys_addr - p0.Page_table.phys_addr = a - page_base
       | _ -> false)
 
 let translate_exn t addr =
-  match Page_table.translate t ~addr with
+  match Page_table.translate t (Page_table.cursor ()) ~addr with
   | Some page -> page
   | None -> Alcotest.failf "address 0x%x unexpectedly unmapped" addr
 
@@ -195,6 +195,101 @@ let test_vm_lookup_codes () =
   check Alcotest.int "unmapped walks" unmapped (Vm.lookup vm ~sm:0 ~sector:far);
   check Alcotest.int "unmapped never caches" unmapped
     (Vm.lookup vm ~sm:0 ~sector:far)
+
+(* The per-SM page memo is unobservable: over random multi-span tables
+   (every policy, promoted spans of mixed sizes, several arenas), random
+   SM ids, kernel-boundary flushes and swaps between two models, every
+   [Vm.lookup] code equals the memo-free reference built from the page
+   table and fresh TLBs with the same geometry. Small TLBs make LRU
+   evictions frequent, so a memo hit that skipped a needed re-stamp, or
+   one that outlived its entry, changes a later code. *)
+let small_tlbs =
+  { Vm.default_config with Vm.l1_sets = 2; l1_ways = 2; l2_sets = 4; l2_ways = 2 }
+
+type reference = {
+  r_table : Page_table.t;
+  r_cursor : Page_table.cursor;
+  r_l1s : Tlb.t array;
+  r_l2 : Tlb.t;
+}
+
+let reference table ~n_sms =
+  let c = small_tlbs in
+  {
+    r_table = table;
+    r_cursor = Page_table.cursor ();
+    r_l1s =
+      Array.init n_sms (fun _ -> Tlb.create ~sets:c.Vm.l1_sets ~ways:c.Vm.l1_ways);
+    r_l2 = Tlb.create ~sets:c.Vm.l2_sets ~ways:c.Vm.l2_ways;
+  }
+
+let reference_lookup r ~sm ~sector =
+  let i = Page_table.find r.r_table r.r_cursor sector in
+  if i < 0 then Vm.walk_base + Page_table.max_levels
+  else begin
+    let key = Page_table.key r.r_table i sector in
+    if Tlb.access r.r_l1s.(sm) ~key then Vm.hit_l1
+    else if Tlb.access r.r_l2 ~key then Vm.hit_l2
+    else Vm.walk_base + Page_table.levels_of r.r_table i
+  end
+
+(* A random layout: 1-3 page-rounded arenas with gaps, each holding a few
+   random promoted spans (64 KB .. 448 KB, some adjacent and sharing an
+   owner so they merge), under a random policy. *)
+let random_table rng =
+  let arenas = ref [] and promoted = ref [] and base = ref 0 in
+  for _ = 0 to Repro_util.Rng.int rng 3 do
+    base := !base + (Repro_util.Rng.int rng 8 * 64 * kb);
+    let size = (1 + Repro_util.Rng.int rng 16) * 64 * kb in
+    arenas := (!base, size) :: !arenas;
+    let cursor = ref !base in
+    while !cursor < !base + size do
+      let len = (1 + Repro_util.Rng.int rng 7) * 64 * kb in
+      let limit = min (!base + size) (!cursor + len) in
+      if Repro_util.Rng.bool rng then
+        promoted := (!cursor, limit, Repro_util.Rng.int rng 2) :: !promoted;
+      cursor := limit
+    done;
+    base := !base + size
+  done;
+  let policy = [| Policy.Flat_4k; Policy.Flat_2m; Policy.Coalesce |] in
+  ( Page_table.build ~policy:policy.(Repro_util.Rng.int rng 3) ~arenas:!arenas
+      ~promoted:!promoted (),
+    !base / Vaddr.sector_bytes )
+
+let prop_page_memo_unobservable =
+  QCheck.Test.make ~name:"vm page memo is unobservable" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Repro_util.Rng.create ~seed in
+      let n_sms = 1 + Repro_util.Rng.int rng 4 in
+      let models =
+        Array.init 2 (fun _ ->
+            let table, extent = random_table rng in
+            ( Vm.create ~config:small_tlbs ~n_sms ~table (),
+              reference table ~n_sms,
+              extent ))
+      in
+      let active = ref 0 and last = ref 0 and ok = ref true in
+      for _ = 1 to 2000 do
+        let vm, r, extent = models.(!active) in
+        match Repro_util.Rng.int rng 100 with
+        | 0 -> Vm.flush_l1s vm; Array.iter Tlb.flush r.r_l1s
+        | 1 -> Vm.flush vm; Array.iter Tlb.flush r.r_l1s; Tlb.flush r.r_l2
+        | 2 -> active := 1 - !active
+        | k ->
+          (* Mostly runs of nearby sectors (one page, the next page),
+             sometimes anywhere in or just past the layout. *)
+          let sector =
+            if k < 70 then max 0 (!last + Repro_util.Rng.int rng 48 - 8)
+            else Repro_util.Rng.int rng (extent + 4096)
+          in
+          last := sector;
+          let sm = Repro_util.Rng.int rng n_sms in
+          if Vm.lookup vm ~sm ~sector <> reference_lookup r ~sm ~sector then
+            ok := false
+      done;
+      !ok)
 
 let test_vm_latencies () =
   let vm = vm_fixture () in
@@ -328,6 +423,7 @@ let suite =
       test_tlb_probe_is_passive;
     Alcotest.test_case "vm lookup codes" `Quick test_vm_lookup_codes;
     Alcotest.test_case "vm latency schedule" `Quick test_vm_latencies;
+    QCheck_alcotest.to_alcotest prop_page_memo_unobservable;
     Alcotest.test_case "sanitizer vm detections" `Quick
       test_checker_vm_detections;
     Alcotest.test_case "tlb.* window samples fold to totals" `Quick
